@@ -23,9 +23,9 @@
    shard silently and records its rows in the --bench-out file for a
    later [merge].
 
-   Every experiment run also appends wall-clock + registry metrics to
-   the --bench-out file in the working directory (schema-3 perf
-   trajectory record; stdout is unaffected). *)
+   With --bench-out FILE, every experiment run also records wall-clock
+   + registry metrics in FILE (schema-3 perf trajectory record; stdout
+   is unaffected). Without it no record is written. *)
 
 let section = Harness.Campaign.section
 
@@ -33,7 +33,7 @@ let section = Harness.Campaign.section
 
 let mem_stats_enabled = ref false
 let effectiveness_budget = ref None
-let bench_out = ref "BENCH_pr10.json"
+let bench_out : string option ref = ref None
 
 (* loadbench knobs (see the `loadbench` campaign) *)
 let load_connections = ref 64
@@ -85,15 +85,15 @@ let record ?context ?cells ~name ~wall_s metrics =
     :: !campaign_records
 
 let write_bench_json ~jobs =
-  match List.rev !campaign_records with
-  | [] -> ()
-  | campaigns ->
+  match (!bench_out, List.rev !campaign_records) with
+  | None, _ | _, [] -> ()
+  | Some file, campaigns ->
     let shards, shard =
       match !shard_spec with
       | Some (k, n) -> (n, Some k)
       | None -> (!shards, None)
     in
-    Util.Benchfile.write !bench_out
+    Util.Benchfile.write file
       (Util.Benchfile.make ~shards ?shard ~pr:10 ~jobs
          ~compile_tier:(Vm64.Compile.tier ()) campaigns)
 
@@ -238,10 +238,13 @@ let run_merge ~config files =
           metrics)
       first.Util.Benchfile.campaigns
   in
-  Util.Benchfile.write !bench_out
-    (Util.Benchfile.make ~shards:n ~merged_from:files
-       ~pr:first.Util.Benchfile.pr ~jobs:first.Util.Benchfile.jobs
-       ~compile_tier:first.Util.Benchfile.compile_tier merged)
+  Option.iter
+    (fun file ->
+      Util.Benchfile.write file
+        (Util.Benchfile.make ~shards:n ~merged_from:files
+           ~pr:first.Util.Benchfile.pr ~jobs:first.Util.Benchfile.jobs
+           ~compile_tier:first.Util.Benchfile.compile_tier merged))
+    !bench_out
 
 (* ---- Bechamel micro-suite: one Test.make per table ----------------------- *)
 
@@ -337,8 +340,7 @@ let run_micro () =
 (* ---- tier A/B: same workload, compiled tier forced off then on ----------- *)
 
 let run_tierbench () =
-  section
-    "Tier A/B - interpreter vs closures vs chained/fused vs register caching";
+  section "Tier A/B - interpreter vs compiled register-caching chains";
   (* best-of-3 to shrug off GC and scheduler noise; the first run
      doubles as warm-up for the host *)
   let best_of_3 f =
@@ -365,56 +367,39 @@ let run_tierbench () =
     Vm64.Compile.set_tier 3;
     dt
   in
-  (* gate 1 (PR 3): compiled execution beats the interpreter on the
-     forking-server workload *)
+  (* Gate: compiled execution is at least [min_speedup] times faster
+     than the interpreter (measured 2.5-4.8x on nginx and 2.7-3.7x on
+     serial table5 on a shared 2-core x86-64 VM). *)
+  let min_speedup = 2.0 in
+  let gate ~tag ~label ~workload f =
+    let interp_s = time_tier ~workload 0 f in
+    let compiled_s = time_tier ~workload 3 f in
+    let speedup = interp_s /. compiled_s in
+    Printf.printf "%s %s interp_s=%.3f compiled_s=%.3f speedup=%.2fx\n" tag label
+      interp_s compiled_s speedup;
+    if speedup < min_speedup then begin
+      Printf.eprintf
+        "tierbench: compiled tier (%.3fs) is only %.2fx faster than the \
+         interpreter (%.3fs) on %s; need %.1fx\n"
+        compiled_s speedup interp_s workload min_speedup;
+      exit 1
+    end
+  in
+  (* the forking-server workload *)
   let profile = Workload.Servers.nginx in
   let requests = 2000 in
-  let serve () =
-    ignore
-      (Harness.Runner.run_server (Harness.Runner.Compiler Pssp.Scheme.Pssp)
-         profile ~requests)
-  in
-  let interp_s = time_tier ~workload:"nginx" 0 serve in
-  let compiled_s = time_tier ~workload:"nginx" 3 serve in
-  Printf.printf
-    "TIERBENCH profile=%s requests=%d interp_s=%.3f compiled_s=%.3f speedup=%.2fx\n"
-    profile.Workload.Servers.profile_name requests interp_s compiled_s
-    (interp_s /. compiled_s);
-  if compiled_s >= interp_s then begin
-    Printf.eprintf
-      "tierbench: compiled tier (%.3fs) is not faster than the interpreter \
-       (%.3fs)\n"
-      compiled_s interp_s;
-    exit 1
-  end;
-  (* gate 2 (PR 7): chaining + superblocks beat the per-block closure
-     tier on table5, serial (BENCH_pr3 baseline: 0.63s) *)
-  let table5 () = ignore (Harness.Table5.run ~jobs:1 ()) in
-  let tier1_s = time_tier ~workload:"table5" 1 table5 in
-  let tier2_s = time_tier ~workload:"table5" 2 table5 in
-  Printf.printf
-    "TIERBENCH2 experiment=table5 jobs=1 tier1_s=%.3f tier2_s=%.3f speedup=%.2fx\n"
-    tier1_s tier2_s (tier1_s /. tier2_s);
-  if tier2_s >= tier1_s then begin
-    Printf.eprintf
-      "tierbench: chained tier (%.3fs) is not faster than per-block closures \
-       (%.3fs)\n"
-      tier2_s tier1_s;
-    exit 1
-  end;
-  (* gate 3 (PR 8): register caching beats the plain chained tier on the
-     same serial table5 workload *)
-  let tier3_s = time_tier ~workload:"table5" 3 table5 in
-  Printf.printf
-    "TIERBENCH3 experiment=table5 jobs=1 tier2_s=%.3f tier3_s=%.3f speedup=%.2fx\n"
-    tier2_s tier3_s (tier2_s /. tier3_s);
-  if tier3_s >= tier2_s then begin
-    Printf.eprintf
-      "tierbench: register-caching tier (%.3fs) is not faster than the \
-       chained tier (%.3fs)\n"
-      tier3_s tier2_s;
-    exit 1
-  end
+  gate ~tag:"TIERBENCH"
+    ~label:
+      (Printf.sprintf "profile=%s requests=%d"
+         profile.Workload.Servers.profile_name requests)
+    ~workload:"nginx"
+    (fun () ->
+      ignore
+        (Harness.Runner.run_server (Harness.Runner.Compiler Pssp.Scheme.Pssp)
+           profile ~requests));
+  (* the serial table5 campaign *)
+  gate ~tag:"TIERBENCH2" ~label:"experiment=table5 jobs=1" ~workload:"table5"
+    (fun () -> ignore (Harness.Table5.run ~jobs:1 ()))
 
 (* ---- zygote A/B: cold-boot vs snapshot-resume victim respawn ------------- *)
 
@@ -590,16 +575,15 @@ let () =
            the tier (compiles is 0 when off; chained execution bypasses\n\
            hit accounting), so tier A/B output diffs must not enable it."
         (fun () -> mem_stats_enabled := true);
-      Harness.Cli.tier_value ~name:"--compile-tier"
+      Harness.Cli.on_off ~name:"--compile-tier"
         ~doc:
-          "execution tier: off = interpreter, 1 = per-block closures,\n\
-           2 = chained/fused superblocks, 3 = register caching\n\
-           (default; on = 3). Campaign output is byte-identical for\n\
-           every tier."
-        Vm64.Compile.set_tier;
+          "execution tier: off = interpreter, on = compiled\n\
+           register-caching chains (default). Campaign output is\n\
+           byte-identical for both."
+        (fun on -> Vm64.Compile.set_tier (if on then 3 else 0));
       Harness.Cli.string_value ~name:"--bench-out" ~docv:"FILE"
-        ~doc:"where to write the perf trajectory record (default BENCH_pr10.json)"
-        (fun f -> bench_out := f);
+        ~doc:"write the perf trajectory record to FILE (default: no record)"
+        (fun f -> bench_out := Some f);
     ]
     @ Harness.Cli.telemetry_specs telem
   in
@@ -613,6 +597,10 @@ let () =
   in
   if !shard_spec <> None && !shards <> 1 then begin
     Printf.eprintf "--shard and --shards are mutually exclusive\n";
+    exit 1
+  end;
+  if !shard_spec <> None && !bench_out = None then begin
+    Printf.eprintf "--shard needs --bench-out FILE to record its rows\n";
     exit 1
   end;
   let jobs = if !jobs = 0 then Harness.Pool.default_jobs () else !jobs in

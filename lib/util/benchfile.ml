@@ -26,8 +26,8 @@ type t = {
   pr : int;
   jobs : int;
   compile_tier : int;
-      (* 0 = interpreter, 1 = closures, 2 = chained/fused,
-         3 = chained/fused + register caching *)
+      (* 0 = interpreter, 3 = compiled; older records: 1 = closures,
+         2 = chained/fused *)
   shards : int;  (* total shard count; 1 = unsharded *)
   shard : int option;  (* Some k on a shard file (0-based, of [shards]) *)
   merged_from : string list;  (* shard files a `bench merge` combined *)

@@ -38,9 +38,9 @@ type t = {
   pr : int;
   jobs : int;
   compile_tier : int;
-      (** 0 = interpreter, 1 = per-block closures, 2 = chained/fused,
-          3 = chained/fused + register caching. PR <= 6 records stored
-          a boolean; the reader maps it to 0/1. *)
+      (** 0 = interpreter, 3 = compiled (older records also carry
+          1 = per-block closures and 2 = chained/fused). PR <= 6
+          records stored a boolean; the reader maps it to 0/1. *)
   shards : int;  (** total shard count; 1 = unsharded *)
   shard : int option;
       (** [Some k] on a file written by [--shard K/N] (0-based) *)

@@ -2,26 +2,20 @@
    {!Ir} in passes (lift -> normalize -> fuse -> emit): every decision
    that depends only on the instruction encoding — operand shape,
    immediate values, addressing mode, builtin resolution for direct
-   calls — is taken once here, so the retire loop left in [run_code] is
-   an array walk over pre-specialized closures. Cycle charging and rip
-   updates are deferred to block exit (see the protocol notes on
-   [run_code]); both were per-instruction allocations in the interpreter
-   (boxed Int64 for [Cpu.add_cycles], caml_modify for rip).
+   calls — is taken once here. A translation is a continuation chain
+   ([emit3]) that caches the hottest guest registers in closure
+   "locals"; the spill protocol notes on [emit3] explain why faults
+   still observe exact architectural state. Cycle charging and rip
+   updates are deferred to the chain's exit (see [charge_exit]).
 
-   Tier 2 ([run_tier2]) additionally chains compiled blocks through
-   their exits — a taken/fall-through/return transfer jumps straight
-   into the successor's translation instead of returning to
-   [Exec.step_block]'s dispatch loop — and fuses hot unconditional
-   chains into superblock translations. See the link-validity notes on
-   [link_live] for how invalidation and CoW forks unlink stale
-   successors.
-
-   Tier 3 ([emit3]) caches the translation's hottest guest registers in
-   closure "locals" — arguments threaded through a continuation chain —
-   so their reads and writes stop going through the [Cpu.gprs] array
-   (and its caml_modify write barrier) at every access. The spill
-   protocol notes on [emit3] explain why faults still observe exact
-   architectural state. *)
+   [run_chain] chains translations through their exits — a
+   taken/fall-through/return transfer jumps straight into the
+   successor's translation instead of returning to [Exec.step_block]'s
+   dispatch loop — and fuses hot unconditional chains into superblock
+   translations. See the link-validity notes on [link_live] for how
+   invalidation and CoW forks unlink stale successors. A chain has no
+   fuel boundary inside it: when the remaining fuel does not cover a
+   translation, the interpreter retires that block instead. *)
 
 module I = Isa.Insn
 module O = Isa.Operand
@@ -49,47 +43,39 @@ type link = {
 }
 
 and code = {
-  ops : op array;
-  addrs : int64 array;  (* address of each instruction *)
-  nexts : int64 array;  (* fall-through rip of each instruction *)
+  length : int;  (* instructions the translation retires when run to its exit *)
   csum : int array;  (* csum.(k) = static cycles of the first k insns *)
   crsum : int array;  (* crsum.(k) = call/ret insns among the first k *)
-  sets_rip : bool array;
-      (* closure writes rip when returning Running — terminators, which
-         superblock fusion can place mid-array *)
   exit_ : Ir.exit_shape;
   blocks : Tcache.block array;  (* constituent blocks, head first *)
   starts : int array;  (* first instruction index of each constituent *)
   key : int64 -> string option;
       (* the [is_builtin] the code was specialized against; compare with
          (==) — code compiled for another environment must be rebuilt *)
-  mutable hot : int;  (* tier-2 entry count, drives superblock formation *)
+  mutable hot : int;  (* entry count, drives superblock formation *)
   mutable fuse_tried : bool;
   link_a : link;  (* taken / unconditional / dynamic target cache *)
   link_b : link;  (* fall-through side of a two-way branch *)
-  cached : int array;  (* tier-3 cached gpr indices, [||] when t3 = None *)
-  t3 : (Cpu.t -> Memory.t -> outcome * int) option;
-      (* tier-3 register-caching chain: runs the whole translation (no
-         fuel boundary inside, so only entered with fuel >= length),
-         returning [run_code]'s (outcome, retired) — the caller settles
-         cycles with [charge_exit] exactly like [run_code]'s finish *)
+  cached : int array;  (* gpr indices the chain caches, hottest first *)
+  run : Cpu.t -> Memory.t -> outcome * int;
+      (* the register-caching chain: runs the whole translation (no fuel
+         boundary inside, so only entered with fuel >= length), returning
+         the last outcome and the retire count — the caller settles
+         cycles with [charge_exit] *)
 }
 
-type Compiled.slot += Code of code | Uncompilable
+type Compiled.slot += Code of code
 
 (* Tier switch, read once per block dispatch. Atomic so bench/tests can
-   force a tier while campaign domains are quiescent.
-   0 = interpreter, 1 = per-block closures (PR 3), 2 = chained/fused
-   (PR 7), 3 = chained/fused with register caching (default). *)
+   force the interpreter while campaign domains are quiescent.
+   0 = interpreter, 3 = compiled (default). *)
 let tier_flag = Atomic.make 3
 
 let set_tier n =
-  if n < 0 || n > 3 then invalid_arg "Compile.set_tier: expected 0, 1, 2 or 3";
+  if n <> 0 && n <> 3 then invalid_arg "Compile.set_tier: expected 0 or 3";
   Atomic.set tier_flag n
 
 let tier () = Atomic.get tier_flag
-let set_enabled b = set_tier (if b then 3 else 0)
-let enabled () = tier () > 0
 
 (* Entries before a code becomes a superblock-formation candidate.
    Tests force 1 to fuse immediately; the default keeps cold paths out
@@ -269,43 +255,20 @@ let cond_test : I.cond -> Cpu.flags -> bool = function
   | I.S -> fun f -> f.Cpu.sf
   | I.NS -> fun f -> not f.Cpu.sf
 
-(* ---- Per-instruction translation ----------------------------------- *)
+(* ---- Per-instruction closures: the generic fallback ----------------- *)
 
-(* [addr] is the instruction's own address (what cpu.rip reads during
-   its interpretation — rip itself is stale while compiled code runs),
-   [next] its fall-through rip. Each closure must mutate state in the
+(* One closure per instruction, reading and writing [Cpu.gprs] directly:
+   [emit3]'s generic wrapper runs these for the shapes it does not
+   specialize against cached registers. [addr] is the instruction's own
+   address (what cpu.rip reads during its interpretation — rip itself
+   is stale while compiled code runs), [next] its fall-through rip.
+   Each closure must mutate state in the
    interpreter's order so a fault mid-instruction leaves identical
    partial state; comments call out the spots where that order is
    load-bearing. *)
 let insn_op ~is_builtin ~inline ~addr ~next (insn : I.t) : op =
   match insn with
   | I.Nop -> fun _ _ -> Running
-  (* mov, fused operand shapes first *)
-  | I.Mov (O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs d v;
-      Running
-  | I.Mov (O.Reg d, O.Reg s) ->
-    let d = Isa.Reg.index d and s = Isa.Reg.index s in
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs d (Array.unsafe_get cpu.Cpu.gprs s);
-      Running
-  | I.Mov (O.Reg d, O.Mem m) ->
-    let d = Isa.Reg.index d and ea = ea_of m in
-    fun cpu mem ->
-      Array.unsafe_set cpu.Cpu.gprs d (Memory.read_u64 mem (ea cpu));
-      Running
-  | I.Mov (O.Mem m, O.Reg s) ->
-    let ea = ea_of m and s = Isa.Reg.index s in
-    fun cpu mem ->
-      Memory.write_u64 mem (ea cpu) (Array.unsafe_get cpu.Cpu.gprs s);
-      Running
-  | I.Mov (O.Mem m, O.Imm v) ->
-    let ea = ea_of m in
-    fun cpu mem ->
-      Memory.write_u64 mem (ea cpu) v;
-      Running
   | I.Mov (dst, src) ->
     let rd = read64_of src and wr = write64_of addr dst in
     fun cpu mem ->
@@ -330,71 +293,17 @@ let insn_op ~is_builtin ~inline ~addr ~next (insn : I.t) : op =
     fun cpu _ ->
       Array.unsafe_set cpu.Cpu.gprs r (ea cpu);
       Running
-  | I.Push (O.Reg s) ->
-    let s = Isa.Reg.index s in
-    fun cpu mem ->
-      (* value read before rsp moves: push rsp stores the old rsp *)
-      let v = Array.unsafe_get cpu.Cpu.gprs s in
-      let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs rsp_i) 8L in
-      Array.unsafe_set cpu.Cpu.gprs rsp_i rsp;
-      Memory.write_u64 mem rsp v;
-      Running
-  | I.Push (O.Imm v) ->
-    fun cpu mem ->
-      let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs rsp_i) 8L in
-      Array.unsafe_set cpu.Cpu.gprs rsp_i rsp;
-      Memory.write_u64 mem rsp v;
-      Running
   | I.Push op ->
     let rd = read64_of op in
     fun cpu mem ->
       let v = rd cpu mem in
       push cpu mem v;
       Running
-  | I.Pop (O.Reg d) ->
-    let d = Isa.Reg.index d in
-    fun cpu mem ->
-      let rsp = Array.unsafe_get cpu.Cpu.gprs rsp_i in
-      let v = Memory.read_u64 mem rsp in
-      (* rsp bump before the destination write: pop rsp ends at v *)
-      Array.unsafe_set cpu.Cpu.gprs rsp_i (Int64.add rsp 8L);
-      Array.unsafe_set cpu.Cpu.gprs d v;
-      Running
   | I.Pop op ->
     let wr = write64_of addr op in
     fun cpu mem ->
       let v = pop cpu mem in
       wr cpu mem v;
-      Running
-  (* binops, fused shapes for the compiler's stack/compare idioms *)
-  | I.Bin (I.Add, O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      let r = Int64.add a v in
-      set_add_flags cpu.Cpu.flags a v r;
-      Array.unsafe_set cpu.Cpu.gprs d r;
-      Running
-  | I.Bin (I.Sub, O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      let r = Int64.sub a v in
-      set_sub_flags cpu.Cpu.flags a v r;
-      Array.unsafe_set cpu.Cpu.gprs d r;
-      Running
-  | I.Bin (I.Cmp, O.Reg d, O.Imm v) ->
-    let d = Isa.Reg.index d in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      set_sub_flags cpu.Cpu.flags a v (Int64.sub a v);
-      Running
-  | I.Bin (I.Cmp, O.Reg d, O.Reg s) ->
-    let d = Isa.Reg.index d and s = Isa.Reg.index s in
-    fun cpu _ ->
-      let a = Array.unsafe_get cpu.Cpu.gprs d in
-      let b = Array.unsafe_get cpu.Cpu.gprs s in
-      set_sub_flags cpu.Cpu.flags a b (Int64.sub a b);
       Running
   | I.Bin (bop, dst, src) -> (
     let rd_d = read64_of dst and rd_s = read64_of src in
@@ -567,8 +476,8 @@ let insn_op ~is_builtin ~inline ~addr ~next (insn : I.t) : op =
            dispatches after the call retired), the return value lands
            in rax, and a fault inside the body kills with rip already
            past the call — which is why the Trap is consumed here and
-           not left to [run_code]'s handler (that would rewind rip to
-           the call itself). Cycle charges happen inside [f], exactly
+           not left to [emit3]'s generic handler (that would rewind rip
+           to the call itself). Cycle charges happen inside [f], exactly
            as the OS dispatch would have charged them. *)
         fun cpu mem ->
           cpu.Cpu.rip <- next;
@@ -638,7 +547,7 @@ let insn_op ~is_builtin ~inline ~addr ~next (insn : I.t) : op =
       Running
   | I.Rdtsc ->
     (* reads cpu.cycles mid-block, which deferred charging leaves at the
-       block-entry value; [emit] intercepts it with a closure that adds
+       block-entry value; [emit3] intercepts it with a closure that adds
        the retired prefix's static charge (it needs the prefix sums this
        per-insn lowering does not see) *)
     assert false
@@ -729,28 +638,9 @@ let insn_op ~is_builtin ~inline ~addr ~next (insn : I.t) : op =
       flags.Cpu.of_ <- false;
       Running
 
-(* ---- Uop lowering ---------------------------------------------------- *)
+(* ---- Translation: guest-register caching in closure locals ---------- *)
 
-let nop_op : op = fun _ _ -> Running
-
-let uop_op ~is_builtin ~inline ~addr ~next (u : Ir.uop) : op =
-  match u with
-  | Ir.Zero r ->
-    (* normalized [xor r, r]: no operand reads, constant flag settle *)
-    fun cpu _ ->
-      Array.unsafe_set cpu.Cpu.gprs r 0L;
-      let f = cpu.Cpu.flags in
-      f.Cpu.zf <- true;
-      f.Cpu.sf <- false;
-      f.Cpu.cf <- false;
-      f.Cpu.of_ <- false;
-      Running
-  | Ir.Nop_cost -> nop_op
-  | Ir.Exec insn -> insn_op ~is_builtin ~inline ~addr ~next insn
-
-(* ---- Tier 3: guest-register caching in closure locals ---------------- *)
-
-(* Tier 3 threads the translation's hottest guest registers (picked by
+(* A translation threads its hottest guest registers (picked by
    [Ir.cache_plan]) through the emitted code as plain int64 arguments
    instead of routing every access through the [Cpu.gprs] array. OCaml
    has no mutable locals that survive closure boundaries without
@@ -759,7 +649,9 @@ let uop_op ~is_builtin ~inline ~addr ~next (u : Ir.uop) : op =
    tail-calls step [i+1] with the results. Exact-arity indirect tail
    calls keep the chain flat on the stack, and an unchanged boxed-int64
    argument is a pointer pass — no re-boxing and no caml_modify write
-   barrier, the costs this tier removes.
+   barrier. A translation whose plan is empty still runs as a chain:
+   every register stays in [Cpu.gprs] and the two arguments ride along
+   unused.
 
    Spill protocol (the correctness core): [Cpu.gprs] is stale for the
    cached registers while the chain runs, so every point where the
@@ -772,11 +664,11 @@ let uop_op ~is_builtin ~inline ~addr ~next (u : Ir.uop) : op =
      point (a push that faults on its store spills the
      already-decremented rsp, exactly the interpreter's partial state);
    - exits and chain transfers: the exit continuation spills before
-     control returns to [run_tier2] or the dispatcher;
+     control returns to [run_chain] or the dispatcher;
    - kernel-visible outcomes (syscall, hlt, non-inlined builtin calls)
      and steps the emitter does not specialize (xmm traffic, byte/word
      moves, division, inlined builtin bodies, dynamic calls): a generic
-     wrapper spills, runs the tier-1 closure — which reads and writes
+     wrapper spills, runs the [insn_op] closure — which reads and writes
      [Cpu.gprs] directly, so [Os.Glibc] and builtin cores see exact
      registers — and reloads the cached values on the way back in.
 
@@ -784,16 +676,17 @@ let uop_op ~is_builtin ~inline ~addr ~next (u : Ir.uop) : op =
    protocol one plain store per slot; clean spills rewrite the same
    value. The plan is a heuristic only: registers outside it simply
    stay in [Cpu.gprs], and unspecialized shapes run through the generic
-   wrapper, so plan quality affects speed, never semantics. *)
+   wrapper, so plan quality affects speed, never semantics.
 
-(* Kept registered for metric-schema continuity: since rdtsc became
-   emittable (the last uncompilable shape), nothing increments it. *)
-let (_ : Telemetry.Registry.counter) =
-  Telemetry.Registry.counter "vm.compile.uncompilable"
+   Each specialized shape keeps one arm per register location (SA, SB,
+   SN) rather than one arm branching on the location at run time: an
+   arm's machine code is shared by every translation, so a run-time
+   branch on the per-closure location predicts poorly — that rewrite
+   measured 21-33% slower on SPEC-like runs. *)
 
-(* Emit-time tier-3 telemetry: registers cached per translation, and
-   static spill/reload sites emitted (fault handlers, generic-wrapper
-   crossings, chain entry/exit). *)
+(* Emit-time telemetry: registers cached per translation, and static
+   spill/reload sites emitted (fault handlers, generic-wrapper
+   crossings, chain entry/exit) by translations that cache any. *)
 let g_regs_cached = Telemetry.Registry.counter "vm.compile.regs_cached"
 let g_spills = Telemetry.Registry.counter "vm.compile.spills"
 let g_reloads = Telemetry.Registry.counter "vm.compile.reloads"
@@ -804,654 +697,680 @@ type k3 = Cpu.t -> Memory.t -> int64 -> int64 -> outcome * int
    threaded arguments) or its [Cpu.gprs] cell. *)
 type slot = SA | SB | SN of int
 
-let emit3 ~is_builtin (ir : Ir.t) ~(ops : op array) ~(addrs : int64 array)
-    ~(nexts : int64 array) ~(sets_rip : bool array) :
-    (int array * (Cpu.t -> Memory.t -> outcome * int)) option =
+let emit3 ~is_builtin ~inline (ir : Ir.t) ~(csum : int array) ~(crsum : int array)
+    : int array * (Cpu.t -> Memory.t -> outcome * int) =
   let plan = Ir.cache_plan ir in
-  if Array.length plan = 0 then None
-  else begin
-    let steps = ir.Ir.steps in
-    let n = Array.length steps in
-    let ra = plan.(0) in
-    let rb = if Array.length plan > 1 then plan.(1) else -1 in
-    let sloti i = if i = ra then SA else if i = rb then SB else SN i in
-    let slot r = sloti (Isa.Reg.index r) in
-    (* static spill/reload sites, counted as they are emitted *)
-    let spills = ref 0 and reloads = ref 0 in
-    let spill cpu va vb =
-      Array.unsafe_set cpu.Cpu.gprs ra va;
-      if rb >= 0 then Array.unsafe_set cpu.Cpu.gprs rb vb
-    in
-    (* fault exit for step [i]: flush, rip at the faulting instruction *)
-    let faulted i =
-      incr spills;
-      fun f cpu va vb ->
-        spill cpu va vb;
-        cpu.Cpu.rip <- Array.unsafe_get addrs i;
-        (Faulted f, i + 1)
-    in
-    (* universal fallback: flush, run the tier-1 closure against
-       [Cpu.gprs], reload on the way back in *)
-    let generic i (k : k3) : k3 =
-      incr spills;
-      incr reloads;
-      let op = Array.unsafe_get ops i in
-      let addr = Array.unsafe_get addrs i in
-      fun cpu mem va vb ->
-        spill cpu va vb;
-        (match op cpu mem with
-        | Running ->
-          let va' = Array.unsafe_get cpu.Cpu.gprs ra in
-          let vb' = if rb >= 0 then Array.unsafe_get cpu.Cpu.gprs rb else vb in
-          k cpu mem va' vb'
-        | outcome -> (outcome, i + 1)
-        | exception Fault.Trap f ->
-          cpu.Cpu.rip <- addr;
-          (Faulted f, i + 1)
-        | exception Isa.Encode.Unresolved_symbol s ->
-          cpu.Cpu.rip <- addr;
-          (Faulted (Fault.Bad_instruction (addr, "unresolved symbol " ^ s)), i + 1))
-    in
-    (* effective address against the cached values. [None] bounces the
-       step to the generic wrapper — only fs-segment or scaled-index
-       uses of a *cached* register are left unspecialized. *)
-    let ea3 (m : O.mem) : (Cpu.t -> int64 -> int64 -> int64) option =
-      let is_cached r = match slot r with SN _ -> false | _ -> true in
-      let base_cached =
-        match m.O.base with Some r -> is_cached r | None -> false
-      in
-      let index_cached =
-        match m.O.index with Some (r, _) -> is_cached r | None -> false
-      in
-      if not (base_cached || index_cached) then
-        let ea = ea_of m in
-        Some (fun cpu _ _ -> ea cpu)
-      else if m.O.seg_fs || index_cached then None
-      else
-        match (m.O.base, m.O.index) with
-        | Some b, None -> (
-          let d = m.O.disp in
-          match slot b with
-          | SA -> Some (fun _ va _ -> Int64.add va d)
-          | SB -> Some (fun _ _ vb -> Int64.add vb d)
-          | SN _ -> None)
-        | Some b, Some (x, s) -> (
-          let x = Isa.Reg.index x in
-          let s = Int64.of_int (O.scale_factor s) and d = m.O.disp in
-          match slot b with
-          | SA ->
-            Some
-              (fun cpu va _ ->
-                Int64.add va
-                  (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d))
-          | SB ->
-            Some
-              (fun cpu _ vb ->
-                Int64.add vb
-                  (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d))
-          | SN _ -> None)
-        | None, _ -> None
-    in
-    (* a 64-bit source read against the cached values *)
-    let src64 : O.t -> (Cpu.t -> Memory.t -> int64 -> int64 -> int64) option =
-      function
-      | O.Reg r -> (
-        match slot r with
-        | SA -> Some (fun _ _ va _ -> va)
-        | SB -> Some (fun _ _ _ vb -> vb)
-        | SN j -> Some (fun cpu _ _ _ -> Array.unsafe_get cpu.Cpu.gprs j))
-      | O.Imm v -> Some (fun _ _ _ _ -> v)
-      | O.Mem m -> (
-        match ea3 m with
-        | None -> None
-        | Some ea ->
-          Some (fun cpu mem va vb -> Memory.read_u64 mem (ea cpu va vb)))
-    in
-    (* chain exit: flush, settle rip like [run_code]'s fuel-boundary
-       stop, bounce to the chain/dispatch logic *)
-    let exit_k : k3 =
-      incr spills;
-      let last_sets = Array.unsafe_get sets_rip (n - 1) in
-      let fall = Array.unsafe_get nexts (n - 1) in
-      fun cpu _ va vb ->
-        spill cpu va vb;
-        if not last_sets then cpu.Cpu.rip <- fall;
-        (Running, n)
-    in
-    (* Per-step specialization. Every arm mutates state in the
-       interpreter's order (value reads before rsp moves, flags before
-       destination writes, register writes before the store that can
-       fault), so the spilled state at any fault point is exactly the
-       interpreted partial state. *)
-    let step3 i (k : k3) : k3 =
-      match (Array.unsafe_get steps i).Ir.uop with
-      | Ir.Nop_cost | Ir.Exec I.Nop -> k
-      | Ir.Zero r -> (
-        let set0 (f : Cpu.flags) =
-          f.Cpu.zf <- true;
-          f.Cpu.sf <- false;
-          f.Cpu.cf <- false;
-          f.Cpu.of_ <- false
+  let steps = ir.Ir.steps in
+  let n = Array.length steps in
+  let addr i = (Array.unsafe_get steps i).Ir.addr in
+  let ra = if Array.length plan > 0 then plan.(0) else -1 in
+  let rb = if Array.length plan > 1 then plan.(1) else -1 in
+  let sloti i = if i = ra then SA else if i = rb then SB else SN i in
+  let slot r = sloti (Isa.Reg.index r) in
+  (* static spill/reload sites, counted as they are emitted *)
+  let spills = ref 0 and reloads = ref 0 in
+  let spill cpu va vb =
+    if ra >= 0 then Array.unsafe_set cpu.Cpu.gprs ra va;
+    if rb >= 0 then Array.unsafe_set cpu.Cpu.gprs rb vb
+  in
+  (* fault exit for step [i]: flush, rip at the faulting instruction *)
+  let faulted i =
+    incr spills;
+    let a = addr i in
+    fun f cpu va vb ->
+      spill cpu va vb;
+      cpu.Cpu.rip <- a;
+      (Faulted f, i + 1)
+  in
+  (* the [insn_op] closure for step [i] *)
+  let generic_op i : op =
+    let s = Array.unsafe_get steps i in
+    match s.Ir.uop with
+    | Ir.Exec I.Rdtsc ->
+      (* Deferred charging leaves cpu.cycles at the block-entry value
+         while compiled code runs, but the interpreter charges
+         instruction [i] before executing it — so the tsc it would read
+         here is the entry cycles plus the retired prefix's static
+         charge, all known at translation time. *)
+      let static = csum.(i + 1) and calls = crsum.(i + 1) in
+      let retired = i + 1 in
+      fun cpu _ ->
+        let tsc =
+          Int64.add cpu.Cpu.cycles
+            (Int64.of_int
+               (static + (retired * cpu.Cpu.insn_tax) + (calls * cpu.Cpu.call_tax)))
         in
-        match sloti r with
+        Array.unsafe_set cpu.Cpu.gprs rax_i (Int64.logand tsc 0xFFFFFFFFL);
+        Array.unsafe_set cpu.Cpu.gprs rdx_i (Int64.shift_right_logical tsc 32);
+        Running
+    | Ir.Exec insn ->
+      insn_op ~is_builtin ~inline ~addr:s.Ir.addr ~next:s.Ir.next insn
+    | Ir.Zero _ | Ir.Nop_cost -> assert false (* specialized by [step3] *)
+  in
+  (* universal fallback: flush, run the [insn_op] closure against
+     [Cpu.gprs], reload on the way back in *)
+  let generic i (k : k3) : k3 =
+    incr spills;
+    incr reloads;
+    let op = generic_op i in
+    let addr = addr i in
+    fun cpu mem va vb ->
+      spill cpu va vb;
+      (match op cpu mem with
+      | Running ->
+        let va' = if ra >= 0 then Array.unsafe_get cpu.Cpu.gprs ra else va in
+        let vb' = if rb >= 0 then Array.unsafe_get cpu.Cpu.gprs rb else vb in
+        k cpu mem va' vb'
+      | outcome -> (outcome, i + 1)
+      | exception Fault.Trap f ->
+        cpu.Cpu.rip <- addr;
+        (Faulted f, i + 1)
+      | exception Isa.Encode.Unresolved_symbol s ->
+        cpu.Cpu.rip <- addr;
+        (Faulted (Fault.Bad_instruction (addr, "unresolved symbol " ^ s)), i + 1))
+  in
+  (* effective address against the cached values. [None] bounces the
+     step to the generic wrapper — only fs-segment or scaled-index
+     uses of a *cached* register are left unspecialized. *)
+  let ea3 (m : O.mem) : (Cpu.t -> int64 -> int64 -> int64) option =
+    let is_cached r = match slot r with SN _ -> false | _ -> true in
+    let base_cached =
+      match m.O.base with Some r -> is_cached r | None -> false
+    in
+    let index_cached =
+      match m.O.index with Some (r, _) -> is_cached r | None -> false
+    in
+    if not (base_cached || index_cached) then
+      let ea = ea_of m in
+      Some (fun cpu _ _ -> ea cpu)
+    else if m.O.seg_fs || index_cached then None
+    else
+      match (m.O.base, m.O.index) with
+      | Some b, None -> (
+        let d = m.O.disp in
+        match slot b with
+        | SA -> Some (fun _ va _ -> Int64.add va d)
+        | SB -> Some (fun _ _ vb -> Int64.add vb d)
+        | SN _ -> None)
+      | Some b, Some (x, s) -> (
+        let x = Isa.Reg.index x in
+        let s = Int64.of_int (O.scale_factor s) and d = m.O.disp in
+        match slot b with
         | SA ->
-          fun cpu mem _ vb ->
-            set0 cpu.Cpu.flags;
-            k cpu mem 0L vb
+          Some
+            (fun cpu va _ ->
+              Int64.add va
+                (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d))
         | SB ->
-          fun cpu mem va _ ->
-            set0 cpu.Cpu.flags;
-            k cpu mem va 0L
-        | SN j ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j 0L;
-            set0 cpu.Cpu.flags;
-            k cpu mem va vb)
-      | Ir.Exec (I.Mov (O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA -> fun cpu mem _ vb -> k cpu mem v vb
-        | SB -> fun cpu mem va _ -> k cpu mem va v
-        | SN j ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j v;
-            k cpu mem va vb)
-      | Ir.Exec (I.Mov (O.Reg d, O.Reg sr)) -> (
-        match (slot d, slot sr) with
-        | SA, SA | SB, SB -> k
-        | SA, SB -> fun cpu mem _ vb -> k cpu mem vb vb
-        | SB, SA -> fun cpu mem va _ -> k cpu mem va va
-        | SA, SN j ->
-          fun cpu mem _ vb -> k cpu mem (Array.unsafe_get cpu.Cpu.gprs j) vb
-        | SB, SN j ->
-          fun cpu mem va _ -> k cpu mem va (Array.unsafe_get cpu.Cpu.gprs j)
-        | SN j, SA ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j va;
-            k cpu mem va vb
-        | SN j, SB ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j vb;
-            k cpu mem va vb
-        | SN j, SN j' ->
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j (Array.unsafe_get cpu.Cpu.gprs j');
-            k cpu mem va vb)
-      | Ir.Exec (I.Mov (O.Reg d, O.Mem m)) -> (
-        match ea3 m with
-        | None -> generic i k
-        | Some ea -> (
-          let fault = faulted i in
-          match slot d with
-          | SA -> (
-            fun cpu mem va vb ->
-              match Memory.read_u64 mem (ea cpu va vb) with
-              | v -> k cpu mem v vb
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SB -> (
-            fun cpu mem va vb ->
-              match Memory.read_u64 mem (ea cpu va vb) with
-              | v -> k cpu mem va v
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SN j -> (
-            fun cpu mem va vb ->
-              match Memory.read_u64 mem (ea cpu va vb) with
-              | v ->
-                Array.unsafe_set cpu.Cpu.gprs j v;
-                k cpu mem va vb
-              | exception Fault.Trap f -> fault f cpu va vb)))
-      | Ir.Exec (I.Mov (O.Mem m, ((O.Reg _ | O.Imm _) as src))) -> (
-        match (ea3 m, src64 src) with
-        | Some ea, Some rd -> (
-          let fault = faulted i in
-          fun cpu mem va vb ->
-            let v = rd cpu mem va vb in
-            match Memory.write_u64 mem (ea cpu va vb) v with
-            | () -> k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | _ -> generic i k)
-      | Ir.Exec (I.Lea (r, m)) -> (
-        match ea3 m with
-        | None -> generic i k
-        | Some ea -> (
-          match slot r with
-          | SA -> fun cpu mem va vb -> k cpu mem (ea cpu va vb) vb
-          | SB -> fun cpu mem va vb -> k cpu mem va (ea cpu va vb)
-          | SN j ->
-            fun cpu mem va vb ->
-              Array.unsafe_set cpu.Cpu.gprs j (ea cpu va vb);
-              k cpu mem va vb))
-      | Ir.Exec (I.Push ((O.Reg _ | O.Imm _) as src)) -> (
-        match src64 src with
-        | None -> generic i k
-        | Some rd -> (
-          let fault = faulted i in
-          match sloti rsp_i with
-          | SA -> (
-            fun cpu mem va vb ->
-              (* value read before rsp moves: push rsp stores old rsp *)
-              let v = rd cpu mem va vb in
-              let rsp = Int64.sub va 8L in
-              match Memory.write_u64 mem rsp v with
-              | () -> k cpu mem rsp vb
-              | exception Fault.Trap f -> fault f cpu rsp vb)
-          | SB -> (
-            fun cpu mem va vb ->
-              let v = rd cpu mem va vb in
-              let rsp = Int64.sub vb 8L in
-              match Memory.write_u64 mem rsp v with
-              | () -> k cpu mem va rsp
-              | exception Fault.Trap f -> fault f cpu va rsp)
-          | SN j -> (
-            fun cpu mem va vb ->
-              let v = rd cpu mem va vb in
-              let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs j) 8L in
-              Array.unsafe_set cpu.Cpu.gprs j rsp;
-              match Memory.write_u64 mem rsp v with
-              | () -> k cpu mem va vb
-              | exception Fault.Trap f -> fault f cpu va vb)))
-      | Ir.Exec (I.Pop (O.Reg d)) -> (
+          Some
+            (fun cpu _ vb ->
+              Int64.add vb
+                (Int64.add (Int64.mul (Array.unsafe_get cpu.Cpu.gprs x) s) d))
+        | SN _ -> None)
+      | None, _ -> None
+  in
+  (* a 64-bit source read against the cached values *)
+  let src64 : O.t -> (Cpu.t -> Memory.t -> int64 -> int64 -> int64) option =
+    function
+    | O.Reg r -> (
+      match slot r with
+      | SA -> Some (fun _ _ va _ -> va)
+      | SB -> Some (fun _ _ _ vb -> vb)
+      | SN j -> Some (fun cpu _ _ _ -> Array.unsafe_get cpu.Cpu.gprs j))
+    | O.Imm v -> Some (fun _ _ _ _ -> v)
+    | O.Mem m -> (
+      match ea3 m with
+      | None -> None
+      | Some ea ->
+        Some (fun cpu mem va vb -> Memory.read_u64 mem (ea cpu va vb)))
+  in
+  (* chain exit: flush, settle rip to the fall-through unless the last
+     step already wrote it (in a superblock, jmp/call steps sit mid-chain
+     too), bounce to the chain/dispatch logic *)
+  let exit_k : k3 =
+    incr spills;
+    let last = Array.unsafe_get steps (n - 1) in
+    let last_sets = last.Ir.sets_rip and fall = last.Ir.next in
+    fun cpu _ va vb ->
+      spill cpu va vb;
+      if not last_sets then cpu.Cpu.rip <- fall;
+      (Running, n)
+  in
+  (* Per-step specialization. Every arm mutates state in the
+     interpreter's order (value reads before rsp moves, flags before
+     destination writes, register writes before the store that can
+     fault), so the spilled state at any fault point is exactly the
+     interpreted partial state. *)
+  let step3 i (k : k3) : k3 =
+    match (Array.unsafe_get steps i).Ir.uop with
+    | Ir.Nop_cost | Ir.Exec I.Nop -> k
+    | Ir.Zero r -> (
+      let set0 (f : Cpu.flags) =
+        f.Cpu.zf <- true;
+        f.Cpu.sf <- false;
+        f.Cpu.cf <- false;
+        f.Cpu.of_ <- false
+      in
+      match sloti r with
+      | SA ->
+        fun cpu mem _ vb ->
+          set0 cpu.Cpu.flags;
+          k cpu mem 0L vb
+      | SB ->
+        fun cpu mem va _ ->
+          set0 cpu.Cpu.flags;
+          k cpu mem va 0L
+      | SN j ->
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j 0L;
+          set0 cpu.Cpu.flags;
+          k cpu mem va vb)
+    | Ir.Exec (I.Mov (O.Reg d, O.Imm v)) -> (
+      match slot d with
+      | SA -> fun cpu mem _ vb -> k cpu mem v vb
+      | SB -> fun cpu mem va _ -> k cpu mem va v
+      | SN j ->
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j v;
+          k cpu mem va vb)
+    | Ir.Exec (I.Mov (O.Reg d, O.Reg sr)) -> (
+      match (slot d, slot sr) with
+      | SA, SA | SB, SB -> k
+      | SA, SB -> fun cpu mem _ vb -> k cpu mem vb vb
+      | SB, SA -> fun cpu mem va _ -> k cpu mem va va
+      | SA, SN j ->
+        fun cpu mem _ vb -> k cpu mem (Array.unsafe_get cpu.Cpu.gprs j) vb
+      | SB, SN j ->
+        fun cpu mem va _ -> k cpu mem va (Array.unsafe_get cpu.Cpu.gprs j)
+      | SN j, SA ->
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j va;
+          k cpu mem va vb
+      | SN j, SB ->
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j vb;
+          k cpu mem va vb
+      | SN j, SN j' ->
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j (Array.unsafe_get cpu.Cpu.gprs j');
+          k cpu mem va vb)
+    | Ir.Exec (I.Mov (O.Reg d, O.Mem m)) -> (
+      match ea3 m with
+      | None -> generic i k
+      | Some ea -> (
         let fault = faulted i in
-        (* rsp bump before the destination write: pop rsp ends at v *)
-        match (sloti rsp_i, slot d) with
-        | SA, SA -> (
+        match slot d with
+        | SA -> (
           fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
+            match Memory.read_u64 mem (ea cpu va vb) with
             | v -> k cpu mem v vb
             | exception Fault.Trap f -> fault f cpu va vb)
-        | SA, SB -> (
+        | SB -> (
           fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | v -> k cpu mem (Int64.add va 8L) v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SA, SN j -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem (Int64.add va 8L) vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SB, SA -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
-            | v -> k cpu mem v (Int64.add vb 8L)
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SB, SB -> (
-          fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
+            match Memory.read_u64 mem (ea cpu va vb) with
             | v -> k cpu mem va v
             | exception Fault.Trap f -> fault f cpu va vb)
-        | SB, SN j -> (
+        | SN j -> (
           fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
+            match Memory.read_u64 mem (ea cpu va vb) with
             | v ->
               Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem va (Int64.add vb 8L)
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SA -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              k cpu mem v vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SB -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              k cpu mem va v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SN j' -> (
-          fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              Array.unsafe_set cpu.Cpu.gprs j' v;
               k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb))
-      | Ir.Exec (I.Bin (I.Add, O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            let r = Int64.add va v in
-            set_add_flags cpu.Cpu.flags va v r;
-            k cpu mem r vb
-        | SB ->
-          fun cpu mem va vb ->
-            let r = Int64.add vb v in
-            set_add_flags cpu.Cpu.flags vb v r;
-            k cpu mem va r
-        | SN j ->
-          fun cpu mem va vb ->
-            let a = Array.unsafe_get cpu.Cpu.gprs j in
-            let r = Int64.add a v in
-            set_add_flags cpu.Cpu.flags a v r;
-            Array.unsafe_set cpu.Cpu.gprs j r;
-            k cpu mem va vb)
-      | Ir.Exec (I.Bin (I.Sub, O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            let r = Int64.sub va v in
-            set_sub_flags cpu.Cpu.flags va v r;
-            k cpu mem r vb
-        | SB ->
-          fun cpu mem va vb ->
-            let r = Int64.sub vb v in
-            set_sub_flags cpu.Cpu.flags vb v r;
-            k cpu mem va r
-        | SN j ->
-          fun cpu mem va vb ->
-            let a = Array.unsafe_get cpu.Cpu.gprs j in
-            let r = Int64.sub a v in
-            set_sub_flags cpu.Cpu.flags a v r;
-            Array.unsafe_set cpu.Cpu.gprs j r;
-            k cpu mem va vb)
-      | Ir.Exec (I.Bin (I.Cmp, O.Reg d, O.Imm v)) -> (
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            set_sub_flags cpu.Cpu.flags va v (Int64.sub va v);
-            k cpu mem va vb
-        | SB ->
-          fun cpu mem va vb ->
-            set_sub_flags cpu.Cpu.flags vb v (Int64.sub vb v);
-            k cpu mem va vb
-        | SN j ->
-          fun cpu mem va vb ->
-            let a = Array.unsafe_get cpu.Cpu.gprs j in
-            set_sub_flags cpu.Cpu.flags a v (Int64.sub a v);
-            k cpu mem va vb)
-      | Ir.Exec (I.Bin ((I.Cmp | I.Test) as bop, d, s)) -> (
-        match (src64 d, src64 s) with
-        | Some rd, Some rs -> (
-          let fault = faulted i in
-          let setf =
-            match bop with
-            | I.Cmp ->
-              fun f a b -> set_sub_flags f a b (Int64.sub a b)
-            | _ -> fun f a b -> set_logic_flags f (Int64.logand a b)
-          in
-          fun cpu mem va vb ->
-            match
-              let a = rd cpu mem va vb in
-              let b = rs cpu mem va vb in
-              setf cpu.Cpu.flags a b
-            with
-            | () -> k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | _ -> generic i k)
-      | Ir.Exec (I.Bin (bop, O.Reg d, s)) -> (
-        match src64 s with
-        | None -> generic i k
-        | Some rs -> (
-          let addr = Array.unsafe_get addrs i in
-          let apply =
-            match bop with
-            | I.Add ->
-              fun f a b ->
-                let r = Int64.add a b in
-                set_add_flags f a b r;
-                r
-            | I.Sub ->
-              fun f a b ->
-                let r = Int64.sub a b in
-                set_sub_flags f a b r;
-                r
-            | I.Xor ->
-              fun f a b ->
-                let r = Int64.logxor a b in
-                set_logic_flags f r;
-                r
-            | I.And ->
-              fun f a b ->
-                let r = Int64.logand a b in
-                set_logic_flags f r;
-                r
-            | I.Or ->
-              fun f a b ->
-                let r = Int64.logor a b in
-                set_logic_flags f r;
-                r
-            | I.Imul ->
-              fun f a b ->
-                let r = Int64.mul a b in
-                set_logic_flags f r;
-                r
-            | I.Idiv ->
-              fun f a b ->
-                if Int64.equal b 0L then
-                  raise
-                    (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
-                if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-                  raise
-                    (Fault.Trap
-                       (Fault.Bad_instruction (addr, "division overflow")));
-                let r = Int64.div a b in
-                set_logic_flags f r;
-                r
-            | I.Irem ->
-              fun f a b ->
-                if Int64.equal b 0L then
-                  raise
-                    (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
-                if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
-                  raise
-                    (Fault.Trap
-                       (Fault.Bad_instruction (addr, "division overflow")));
-                let r = Int64.rem a b in
-                set_logic_flags f r;
-                r
-            | I.Cmp | I.Test -> assert false (* matched above *)
-          in
-          let fault = faulted i in
-          match slot d with
-          | SA -> (
-            fun cpu mem va vb ->
-              match
-                let b = rs cpu mem va vb in
-                apply cpu.Cpu.flags va b
-              with
-              | r -> k cpu mem r vb
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SB -> (
-            fun cpu mem va vb ->
-              match
-                let b = rs cpu mem va vb in
-                apply cpu.Cpu.flags vb b
-              with
-              | r -> k cpu mem va r
-              | exception Fault.Trap f -> fault f cpu va vb)
-          | SN j -> (
-            fun cpu mem va vb ->
-              match
-                let a = Array.unsafe_get cpu.Cpu.gprs j in
-                let b = rs cpu mem va vb in
-                apply cpu.Cpu.flags a b
-              with
-              | r ->
-                Array.unsafe_set cpu.Cpu.gprs j r;
-                k cpu mem va vb
-              | exception Fault.Trap f -> fault f cpu va vb)))
-      | Ir.Exec (I.Shift (sop, O.Reg d, kk)) when kk land 63 <> 0 -> (
-        let kk = kk land 63 in
-        let sh =
-          match sop with
-          | I.Shl -> fun a -> Int64.shift_left a kk
-          | I.Shr -> fun a -> Int64.shift_right_logical a kk
-          | I.Sar -> fun a -> Int64.shift_right a kk
-        in
-        match slot d with
-        | SA ->
-          fun cpu mem va vb ->
-            let r = sh va in
-            set_logic_flags cpu.Cpu.flags r;
-            k cpu mem r vb
-        | SB ->
-          fun cpu mem va vb ->
-            let r = sh vb in
-            set_logic_flags cpu.Cpu.flags r;
-            k cpu mem va r
-        | SN j ->
-          fun cpu mem va vb ->
-            let r = sh (Array.unsafe_get cpu.Cpu.gprs j) in
-            set_logic_flags cpu.Cpu.flags r;
-            Array.unsafe_set cpu.Cpu.gprs j r;
-            k cpu mem va vb)
-      | Ir.Exec (I.Setcc (c, r)) -> (
-        let test = cond_test c in
+            | exception Fault.Trap f -> fault f cpu va vb)))
+    | Ir.Exec (I.Mov (O.Mem m, ((O.Reg _ | O.Imm _) as src))) -> (
+      match (ea3 m, src64 src) with
+      | Some ea, Some rd -> (
+        let fault = faulted i in
+        fun cpu mem va vb ->
+          let v = rd cpu mem va vb in
+          match Memory.write_u64 mem (ea cpu va vb) v with
+          | () -> k cpu mem va vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | _ -> generic i k)
+    | Ir.Exec (I.Lea (r, m)) -> (
+      match ea3 m with
+      | None -> generic i k
+      | Some ea -> (
         match slot r with
-        | SA ->
-          fun cpu mem _ vb ->
-            k cpu mem (if test cpu.Cpu.flags then 1L else 0L) vb
-        | SB ->
-          fun cpu mem va _ ->
-            k cpu mem va (if test cpu.Cpu.flags then 1L else 0L)
+        | SA -> fun cpu mem va vb -> k cpu mem (ea cpu va vb) vb
+        | SB -> fun cpu mem va vb -> k cpu mem va (ea cpu va vb)
         | SN j ->
           fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j
-              (if test cpu.Cpu.flags then 1L else 0L);
-            k cpu mem va vb)
-      | Ir.Exec (I.Jmp (I.Abs tgt)) ->
-        fun cpu mem va vb ->
-          cpu.Cpu.rip <- tgt;
-          k cpu mem va vb
-      | Ir.Exec (I.Jcc (c, I.Abs tgt)) ->
-        let test = cond_test c in
-        let next = Array.unsafe_get nexts i in
-        fun cpu mem va vb ->
-          cpu.Cpu.rip <- (if test cpu.Cpu.flags then tgt else next);
-          k cpu mem va vb
-      | Ir.Exec (I.Call (I.Abs tgt)) when Option.is_none (is_builtin tgt) -> (
-        let next = Array.unsafe_get nexts i in
+            Array.unsafe_set cpu.Cpu.gprs j (ea cpu va vb);
+            k cpu mem va vb))
+    | Ir.Exec (I.Push ((O.Reg _ | O.Imm _) as src)) -> (
+      match src64 src with
+      | None -> generic i k
+      | Some rd -> (
         let fault = faulted i in
         match sloti rsp_i with
         | SA -> (
           fun cpu mem va vb ->
+            (* value read before rsp moves: push rsp stores old rsp *)
+            let v = rd cpu mem va vb in
             let rsp = Int64.sub va 8L in
-            match Memory.write_u64 mem rsp next with
-            | () ->
-              cpu.Cpu.rip <- tgt;
-              k cpu mem rsp vb
+            match Memory.write_u64 mem rsp v with
+            | () -> k cpu mem rsp vb
             | exception Fault.Trap f -> fault f cpu rsp vb)
         | SB -> (
           fun cpu mem va vb ->
+            let v = rd cpu mem va vb in
             let rsp = Int64.sub vb 8L in
-            match Memory.write_u64 mem rsp next with
-            | () ->
-              cpu.Cpu.rip <- tgt;
-              k cpu mem va rsp
+            match Memory.write_u64 mem rsp v with
+            | () -> k cpu mem va rsp
             | exception Fault.Trap f -> fault f cpu va rsp)
         | SN j -> (
           fun cpu mem va vb ->
+            let v = rd cpu mem va vb in
             let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs j) 8L in
             Array.unsafe_set cpu.Cpu.gprs j rsp;
-            match Memory.write_u64 mem rsp next with
-            | () ->
-              cpu.Cpu.rip <- tgt;
-              k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb))
-      | Ir.Exec I.Ret -> (
+            match Memory.write_u64 mem rsp v with
+            | () -> k cpu mem va vb
+            | exception Fault.Trap f -> fault f cpu va vb)))
+    | Ir.Exec (I.Pop (O.Reg d)) -> (
+      let fault = faulted i in
+      (* rsp bump before the destination write: pop rsp ends at v *)
+      match (sloti rsp_i, slot d) with
+      | SA, SA -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem va with
+          | v -> k cpu mem v vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SA, SB -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem va with
+          | v -> k cpu mem (Int64.add va 8L) v
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SA, SN j -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem va with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j v;
+            k cpu mem (Int64.add va 8L) vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SB, SA -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem vb with
+          | v -> k cpu mem v (Int64.add vb 8L)
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SB, SB -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem vb with
+          | v -> k cpu mem va v
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SB, SN j -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem vb with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j v;
+            k cpu mem va (Int64.add vb 8L)
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SN j, SA -> (
+        fun cpu mem va vb ->
+          let rsp = Array.unsafe_get cpu.Cpu.gprs j in
+          match Memory.read_u64 mem rsp with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
+            k cpu mem v vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SN j, SB -> (
+        fun cpu mem va vb ->
+          let rsp = Array.unsafe_get cpu.Cpu.gprs j in
+          match Memory.read_u64 mem rsp with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
+            k cpu mem va v
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SN j, SN j' -> (
+        fun cpu mem va vb ->
+          let rsp = Array.unsafe_get cpu.Cpu.gprs j in
+          match Memory.read_u64 mem rsp with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
+            Array.unsafe_set cpu.Cpu.gprs j' v;
+            k cpu mem va vb
+          | exception Fault.Trap f -> fault f cpu va vb))
+    | Ir.Exec (I.Bin (I.Add, O.Reg d, O.Imm v)) -> (
+      match slot d with
+      | SA ->
+        fun cpu mem va vb ->
+          let r = Int64.add va v in
+          set_add_flags cpu.Cpu.flags va v r;
+          k cpu mem r vb
+      | SB ->
+        fun cpu mem va vb ->
+          let r = Int64.add vb v in
+          set_add_flags cpu.Cpu.flags vb v r;
+          k cpu mem va r
+      | SN j ->
+        fun cpu mem va vb ->
+          let a = Array.unsafe_get cpu.Cpu.gprs j in
+          let r = Int64.add a v in
+          set_add_flags cpu.Cpu.flags a v r;
+          Array.unsafe_set cpu.Cpu.gprs j r;
+          k cpu mem va vb)
+    | Ir.Exec (I.Bin (I.Sub, O.Reg d, O.Imm v)) -> (
+      match slot d with
+      | SA ->
+        fun cpu mem va vb ->
+          let r = Int64.sub va v in
+          set_sub_flags cpu.Cpu.flags va v r;
+          k cpu mem r vb
+      | SB ->
+        fun cpu mem va vb ->
+          let r = Int64.sub vb v in
+          set_sub_flags cpu.Cpu.flags vb v r;
+          k cpu mem va r
+      | SN j ->
+        fun cpu mem va vb ->
+          let a = Array.unsafe_get cpu.Cpu.gprs j in
+          let r = Int64.sub a v in
+          set_sub_flags cpu.Cpu.flags a v r;
+          Array.unsafe_set cpu.Cpu.gprs j r;
+          k cpu mem va vb)
+    | Ir.Exec (I.Bin (I.Cmp, O.Reg d, O.Imm v)) -> (
+      match slot d with
+      | SA ->
+        fun cpu mem va vb ->
+          set_sub_flags cpu.Cpu.flags va v (Int64.sub va v);
+          k cpu mem va vb
+      | SB ->
+        fun cpu mem va vb ->
+          set_sub_flags cpu.Cpu.flags vb v (Int64.sub vb v);
+          k cpu mem va vb
+      | SN j ->
+        fun cpu mem va vb ->
+          let a = Array.unsafe_get cpu.Cpu.gprs j in
+          set_sub_flags cpu.Cpu.flags a v (Int64.sub a v);
+          k cpu mem va vb)
+    | Ir.Exec (I.Bin ((I.Cmp | I.Test) as bop, d, s)) -> (
+      match (src64 d, src64 s) with
+      | Some rd, Some rs -> (
         let fault = faulted i in
-        match sloti rsp_i with
+        let setf =
+          match bop with
+          | I.Cmp ->
+            fun f a b -> set_sub_flags f a b (Int64.sub a b)
+          | _ -> fun f a b -> set_logic_flags f (Int64.logand a b)
+        in
+        fun cpu mem va vb ->
+          match
+            let a = rd cpu mem va vb in
+            let b = rs cpu mem va vb in
+            setf cpu.Cpu.flags a b
+          with
+          | () -> k cpu mem va vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | _ -> generic i k)
+    | Ir.Exec (I.Bin (bop, O.Reg d, s)) -> (
+      match src64 s with
+      | None -> generic i k
+      | Some rs -> (
+        let addr = addr i in
+        let apply =
+          match bop with
+          | I.Add ->
+            fun f a b ->
+              let r = Int64.add a b in
+              set_add_flags f a b r;
+              r
+          | I.Sub ->
+            fun f a b ->
+              let r = Int64.sub a b in
+              set_sub_flags f a b r;
+              r
+          | I.Xor ->
+            fun f a b ->
+              let r = Int64.logxor a b in
+              set_logic_flags f r;
+              r
+          | I.And ->
+            fun f a b ->
+              let r = Int64.logand a b in
+              set_logic_flags f r;
+              r
+          | I.Or ->
+            fun f a b ->
+              let r = Int64.logor a b in
+              set_logic_flags f r;
+              r
+          | I.Imul ->
+            fun f a b ->
+              let r = Int64.mul a b in
+              set_logic_flags f r;
+              r
+          | I.Idiv ->
+            fun f a b ->
+              if Int64.equal b 0L then
+                raise
+                  (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
+              if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
+                raise
+                  (Fault.Trap
+                     (Fault.Bad_instruction (addr, "division overflow")));
+              let r = Int64.div a b in
+              set_logic_flags f r;
+              r
+          | I.Irem ->
+            fun f a b ->
+              if Int64.equal b 0L then
+                raise
+                  (Fault.Trap (Fault.Bad_instruction (addr, "division by zero")));
+              if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
+                raise
+                  (Fault.Trap
+                     (Fault.Bad_instruction (addr, "division overflow")));
+              let r = Int64.rem a b in
+              set_logic_flags f r;
+              r
+          | I.Cmp | I.Test -> assert false (* matched above *)
+        in
+        let fault = faulted i in
+        match slot d with
         | SA -> (
           fun cpu mem va vb ->
-            match Memory.read_u64 mem va with
-            | a ->
-              cpu.Cpu.rip <- a;
-              k cpu mem (Int64.add va 8L) vb
+            match
+              let b = rs cpu mem va vb in
+              apply cpu.Cpu.flags va b
+            with
+            | r -> k cpu mem r vb
             | exception Fault.Trap f -> fault f cpu va vb)
         | SB -> (
           fun cpu mem va vb ->
-            match Memory.read_u64 mem vb with
-            | a ->
-              cpu.Cpu.rip <- a;
-              k cpu mem va (Int64.add vb 8L)
+            match
+              let b = rs cpu mem va vb in
+              apply cpu.Cpu.flags vb b
+            with
+            | r -> k cpu mem va r
             | exception Fault.Trap f -> fault f cpu va vb)
         | SN j -> (
           fun cpu mem va vb ->
-            let rsp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rsp with
-            | a ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
-              cpu.Cpu.rip <- a;
+            match
+              let a = Array.unsafe_get cpu.Cpu.gprs j in
+              let b = rs cpu mem va vb in
+              apply cpu.Cpu.flags a b
+            with
+            | r ->
+              Array.unsafe_set cpu.Cpu.gprs j r;
               k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb))
-      | Ir.Exec I.Leave -> (
-        (* rsp := rbp first, so a faulting pop spills rsp = rbp *)
-        let fault = faulted i in
-        match (sloti rsp_i, sloti rbp_i) with
-        | SA, SB -> (
-          fun cpu mem _ vb ->
-            match Memory.read_u64 mem vb with
-            | v -> k cpu mem (Int64.add vb 8L) v
-            | exception Fault.Trap f -> fault f cpu vb vb)
-        | SB, SA -> (
-          fun cpu mem va _ ->
-            match Memory.read_u64 mem va with
-            | v -> k cpu mem v (Int64.add va 8L)
-            | exception Fault.Trap f -> fault f cpu va va)
-        | SA, SN j -> (
-          fun cpu mem _ vb ->
-            let rbp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rbp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem (Int64.add rbp 8L) vb
-            | exception Fault.Trap f -> fault f cpu rbp vb)
-        | SB, SN j -> (
-          fun cpu mem va _ ->
-            let rbp = Array.unsafe_get cpu.Cpu.gprs j in
-            match Memory.read_u64 mem rbp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j v;
-              k cpu mem va (Int64.add rbp 8L)
-            | exception Fault.Trap f -> fault f cpu va rbp)
-        | SN j, SA -> (
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j va;
-            match Memory.read_u64 mem va with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add va 8L);
-              k cpu mem v vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SB -> (
-          fun cpu mem va vb ->
-            Array.unsafe_set cpu.Cpu.gprs j vb;
-            match Memory.read_u64 mem vb with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add vb 8L);
-              k cpu mem va v
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | SN j, SN j' -> (
-          fun cpu mem va vb ->
-            let rbp = Array.unsafe_get cpu.Cpu.gprs j' in
-            Array.unsafe_set cpu.Cpu.gprs j rbp;
-            match Memory.read_u64 mem rbp with
-            | v ->
-              Array.unsafe_set cpu.Cpu.gprs j (Int64.add rbp 8L);
-              Array.unsafe_set cpu.Cpu.gprs j' v;
-              k cpu mem va vb
-            | exception Fault.Trap f -> fault f cpu va vb)
-        | (SA, SA | SB, SB) -> generic i k (* rsp and rbp are distinct *))
-      | _ -> generic i k
-    in
-    let rec build i = if i >= n then exit_k else step3 i (build (i + 1)) in
-    let chain = build 0 in
-    incr reloads;
-    let entry cpu mem =
-      let va = Array.unsafe_get cpu.Cpu.gprs ra in
-      let vb = if rb >= 0 then Array.unsafe_get cpu.Cpu.gprs rb else 0L in
-      chain cpu mem va vb
-    in
+            | exception Fault.Trap f -> fault f cpu va vb)))
+    | Ir.Exec (I.Shift (sop, O.Reg d, kk)) when kk land 63 <> 0 -> (
+      let kk = kk land 63 in
+      let sh =
+        match sop with
+        | I.Shl -> fun a -> Int64.shift_left a kk
+        | I.Shr -> fun a -> Int64.shift_right_logical a kk
+        | I.Sar -> fun a -> Int64.shift_right a kk
+      in
+      match slot d with
+      | SA ->
+        fun cpu mem va vb ->
+          let r = sh va in
+          set_logic_flags cpu.Cpu.flags r;
+          k cpu mem r vb
+      | SB ->
+        fun cpu mem va vb ->
+          let r = sh vb in
+          set_logic_flags cpu.Cpu.flags r;
+          k cpu mem va r
+      | SN j ->
+        fun cpu mem va vb ->
+          let r = sh (Array.unsafe_get cpu.Cpu.gprs j) in
+          set_logic_flags cpu.Cpu.flags r;
+          Array.unsafe_set cpu.Cpu.gprs j r;
+          k cpu mem va vb)
+    | Ir.Exec (I.Setcc (c, r)) -> (
+      let test = cond_test c in
+      match slot r with
+      | SA ->
+        fun cpu mem _ vb ->
+          k cpu mem (if test cpu.Cpu.flags then 1L else 0L) vb
+      | SB ->
+        fun cpu mem va _ ->
+          k cpu mem va (if test cpu.Cpu.flags then 1L else 0L)
+      | SN j ->
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j
+            (if test cpu.Cpu.flags then 1L else 0L);
+          k cpu mem va vb)
+    | Ir.Exec (I.Jmp (I.Abs tgt)) ->
+      fun cpu mem va vb ->
+        cpu.Cpu.rip <- tgt;
+        k cpu mem va vb
+    | Ir.Exec (I.Jcc (c, I.Abs tgt)) ->
+      let test = cond_test c in
+      let next = (Array.unsafe_get steps i).Ir.next in
+      fun cpu mem va vb ->
+        cpu.Cpu.rip <- (if test cpu.Cpu.flags then tgt else next);
+        k cpu mem va vb
+    | Ir.Exec (I.Call (I.Abs tgt)) when Option.is_none (is_builtin tgt) -> (
+      let next = (Array.unsafe_get steps i).Ir.next in
+      let fault = faulted i in
+      match sloti rsp_i with
+      | SA -> (
+        fun cpu mem va vb ->
+          let rsp = Int64.sub va 8L in
+          match Memory.write_u64 mem rsp next with
+          | () ->
+            cpu.Cpu.rip <- tgt;
+            k cpu mem rsp vb
+          | exception Fault.Trap f -> fault f cpu rsp vb)
+      | SB -> (
+        fun cpu mem va vb ->
+          let rsp = Int64.sub vb 8L in
+          match Memory.write_u64 mem rsp next with
+          | () ->
+            cpu.Cpu.rip <- tgt;
+            k cpu mem va rsp
+          | exception Fault.Trap f -> fault f cpu va rsp)
+      | SN j -> (
+        fun cpu mem va vb ->
+          let rsp = Int64.sub (Array.unsafe_get cpu.Cpu.gprs j) 8L in
+          Array.unsafe_set cpu.Cpu.gprs j rsp;
+          match Memory.write_u64 mem rsp next with
+          | () ->
+            cpu.Cpu.rip <- tgt;
+            k cpu mem va vb
+          | exception Fault.Trap f -> fault f cpu va vb))
+    | Ir.Exec I.Ret -> (
+      let fault = faulted i in
+      match sloti rsp_i with
+      | SA -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem va with
+          | a ->
+            cpu.Cpu.rip <- a;
+            k cpu mem (Int64.add va 8L) vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SB -> (
+        fun cpu mem va vb ->
+          match Memory.read_u64 mem vb with
+          | a ->
+            cpu.Cpu.rip <- a;
+            k cpu mem va (Int64.add vb 8L)
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SN j -> (
+        fun cpu mem va vb ->
+          let rsp = Array.unsafe_get cpu.Cpu.gprs j in
+          match Memory.read_u64 mem rsp with
+          | a ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add rsp 8L);
+            cpu.Cpu.rip <- a;
+            k cpu mem va vb
+          | exception Fault.Trap f -> fault f cpu va vb))
+    | Ir.Exec I.Leave -> (
+      (* rsp := rbp first, so a faulting pop spills rsp = rbp *)
+      let fault = faulted i in
+      match (sloti rsp_i, sloti rbp_i) with
+      | SA, SB -> (
+        fun cpu mem _ vb ->
+          match Memory.read_u64 mem vb with
+          | v -> k cpu mem (Int64.add vb 8L) v
+          | exception Fault.Trap f -> fault f cpu vb vb)
+      | SB, SA -> (
+        fun cpu mem va _ ->
+          match Memory.read_u64 mem va with
+          | v -> k cpu mem v (Int64.add va 8L)
+          | exception Fault.Trap f -> fault f cpu va va)
+      | SA, SN j -> (
+        fun cpu mem _ vb ->
+          let rbp = Array.unsafe_get cpu.Cpu.gprs j in
+          match Memory.read_u64 mem rbp with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j v;
+            k cpu mem (Int64.add rbp 8L) vb
+          | exception Fault.Trap f -> fault f cpu rbp vb)
+      | SB, SN j -> (
+        fun cpu mem va _ ->
+          let rbp = Array.unsafe_get cpu.Cpu.gprs j in
+          match Memory.read_u64 mem rbp with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j v;
+            k cpu mem va (Int64.add rbp 8L)
+          | exception Fault.Trap f -> fault f cpu va rbp)
+      | SN j, SA -> (
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j va;
+          match Memory.read_u64 mem va with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add va 8L);
+            k cpu mem v vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SN j, SB -> (
+        fun cpu mem va vb ->
+          Array.unsafe_set cpu.Cpu.gprs j vb;
+          match Memory.read_u64 mem vb with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add vb 8L);
+            k cpu mem va v
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | SN j, SN j' -> (
+        fun cpu mem va vb ->
+          let rbp = Array.unsafe_get cpu.Cpu.gprs j' in
+          Array.unsafe_set cpu.Cpu.gprs j rbp;
+          match Memory.read_u64 mem rbp with
+          | v ->
+            Array.unsafe_set cpu.Cpu.gprs j (Int64.add rbp 8L);
+            Array.unsafe_set cpu.Cpu.gprs j' v;
+            k cpu mem va vb
+          | exception Fault.Trap f -> fault f cpu va vb)
+      | (SA, SA | SB, SB) -> generic i k (* rsp and rbp are distinct *))
+    | _ -> generic i k
+  in
+  let rec build i = if i >= n then exit_k else step3 i (build (i + 1)) in
+  let chain = build 0 in
+  incr reloads;
+  let entry cpu mem =
+    let va = if ra >= 0 then Array.unsafe_get cpu.Cpu.gprs ra else 0L in
+    let vb = if rb >= 0 then Array.unsafe_get cpu.Cpu.gprs rb else 0L in
+    chain cpu mem va vb
+  in
+  if Array.length plan > 0 then begin
     Telemetry.Registry.add g_regs_cached (Array.length plan);
     Telemetry.Registry.add g_spills !spills;
-    Telemetry.Registry.add g_reloads !reloads;
-    Some (plan, entry)
-  end
+    Telemetry.Registry.add g_reloads !reloads
+  end;
+  (plan, entry)
 
 (* ---- Block translation: lift -> normalize -> emit -------------------- *)
 
@@ -1460,50 +1379,17 @@ let fresh_link () = { l_space = None; l_epoch = 0; l_addr = 0L; l_target = None 
 let emit ~is_builtin ~inline (ir : Ir.t) : code =
   let steps = ir.Ir.steps in
   let n = Array.length steps in
-  let addrs = Array.map (fun (s : Ir.step) -> s.Ir.addr) steps in
-  let nexts = Array.map (fun (s : Ir.step) -> s.Ir.next) steps in
-  let sets_rip = Array.map (fun (s : Ir.step) -> s.Ir.sets_rip) steps in
   let csum = Array.make (n + 1) 0 in
   let crsum = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     csum.(i + 1) <- csum.(i) + steps.(i).Ir.cost;
     crsum.(i + 1) <- crsum.(i) + Bool.to_int steps.(i).Ir.callret
   done;
-  let ops =
-    Array.init n (fun i ->
-        match steps.(i).Ir.uop with
-        | Ir.Exec I.Rdtsc ->
-          (* Deferred charging leaves cpu.cycles at the block-entry value
-             while compiled code runs, but the interpreter charges
-             instruction [i] before executing it — so the tsc it would
-             read here is the entry cycles plus the retired prefix's
-             static charge, all known at translation time. *)
-          let static = csum.(i + 1) and calls = crsum.(i + 1) in
-          let retired = i + 1 in
-          fun cpu _ ->
-            let tsc =
-              Int64.add cpu.Cpu.cycles
-                (Int64.of_int
-                   (static + (retired * cpu.Cpu.insn_tax)
-                   + (calls * cpu.Cpu.call_tax)))
-            in
-            Array.unsafe_set cpu.Cpu.gprs rax_i (Int64.logand tsc 0xFFFFFFFFL);
-            Array.unsafe_set cpu.Cpu.gprs rdx_i (Int64.shift_right_logical tsc 32);
-            Running
-        | u -> uop_op ~is_builtin ~inline ~addr:addrs.(i) ~next:nexts.(i) u)
-  in
-  let cached, t3 =
-    match emit3 ~is_builtin ir ~ops ~addrs ~nexts ~sets_rip with
-    | Some (plan, f) -> (plan, Some f)
-    | None -> ([||], None)
-  in
+  let cached, run = emit3 ~is_builtin ~inline ir ~csum ~crsum in
   {
-    ops;
-    addrs;
-    nexts;
+    length = n;
     csum;
     crsum;
-    sets_rip;
     exit_ = ir.Ir.exit_;
     blocks = Array.map (fun (p : Ir.part) -> p.Ir.block) ir.Ir.parts;
     starts = Array.map (fun (p : Ir.part) -> p.Ir.start) ir.Ir.parts;
@@ -1513,7 +1399,7 @@ let emit ~is_builtin ~inline (ir : Ir.t) : code =
     link_a = fresh_link ();
     link_b = fresh_link ();
     cached;
-    t3;
+    run;
   }
 
 let no_inline : string -> builtin_fn option = fun _ -> None
@@ -1522,20 +1408,21 @@ let block_ir ~is_builtin ~inline (b : Tcache.block) =
   let inlinable name = Option.is_some (inline name) in
   Ir.normalize (Ir.lift ~is_builtin ~inlinable b)
 
-let compile ?(inline = no_inline) ~is_builtin (b : Tcache.block) : Compiled.slot =
-  Code (emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b))
+let compile ?(inline = no_inline) ~is_builtin (b : Tcache.block) : code =
+  emit ~is_builtin ~inline (block_ir ~is_builtin ~inline b)
 
 let key (c : code) = c.key
+let length (c : code) = c.length
 let cached_regs (c : code) = Array.copy c.cached
 
 (* ---- Execution ------------------------------------------------------ *)
 
 (* Protocol: while compiled code runs, cpu.rip is stale (still the block
-   entry). Straight-line closures never touch it; control closures set
-   it before returning; every exit path below settles it to exactly what
+   entry). Straight-line steps never touch it; control steps set it
+   before continuing; every exit of the chain settles it to exactly what
    the interpreter would have left. Cycles (static cost + insn tax +
    call tax) are settled once per exit from the prefix sums — the
-   interpreter charges instruction [i] before executing it, so a block
+   interpreter charges instruction [i] before executing it, so a chain
    that retires k instructions has charged the first k either way. *)
 let charge_exit (code : code) cpu k =
   Cpu.add_cycles cpu
@@ -1543,36 +1430,7 @@ let charge_exit (code : code) cpu k =
     + (k * cpu.Cpu.insn_tax)
     + (Array.unsafe_get code.crsum k * cpu.Cpu.call_tax))
 
-let run_code (code : code) cpu mem ~limit =
-  let ops = code.ops in
-  let n = Array.length ops in
-  let limit = if limit < n then limit else n in
-  let finish outcome k =
-    charge_exit code cpu k;
-    (outcome, k)
-  in
-  let rec go i =
-    match (Array.unsafe_get ops i) cpu mem with
-    | Running when i + 1 < limit -> go (i + 1)
-    | Running ->
-      (* stop here (terminator or fuel boundary): settle rip to the
-         fall-through unless this closure already wrote it — in a
-         superblock, jmp/call closures sit mid-array too *)
-      if not (Array.unsafe_get code.sets_rip i) then
-        cpu.Cpu.rip <- Array.unsafe_get code.nexts i;
-      finish Running (i + 1)
-    | outcome -> finish outcome (i + 1)
-    | exception Fault.Trap fault ->
-      cpu.Cpu.rip <- Array.unsafe_get code.addrs i;
-      finish (Faulted fault) (i + 1)
-    | exception Isa.Encode.Unresolved_symbol s ->
-      let a = Array.unsafe_get code.addrs i in
-      cpu.Cpu.rip <- a;
-      finish (Faulted (Fault.Bad_instruction (a, "unresolved symbol " ^ s))) (i + 1)
-  in
-  go 0
-
-(* ---- Tier 2: chaining, superblocks, profiling attribution ----------- *)
+(* ---- Chaining, superblocks, profiling attribution ------------------ *)
 
 (* Every constituent is still decodable-as-cached in this space. The
    dispatcher's fetch validated the head block only; a superblock's
@@ -1636,22 +1494,17 @@ let install_link tc (l : link) rip target =
 
 (* Resolve the translation for [rip] in this space, compiling the
    cached block if needed. [None] bounces to the dispatcher (block not
-   cached / stale / uncompilable), which decodes and accounts the miss. *)
+   cached / stale), which decodes and accounts the miss. *)
 let resolve tc mem ~is_builtin ~inline rip =
   match Tcache.find tc rip with
   | Some b when Tcache.anchor_valid mem b -> (
     match b.Tcache.compiled with
     | Code c when c.key == is_builtin -> Some c
-    | Uncompilable -> None
-    | _ -> (
-      match compile ~inline ~is_builtin b with
-      | Code c as slot ->
-        b.Tcache.compiled <- slot;
-        Tcache.note_compile tc;
-        Some c
-      | slot ->
-        b.Tcache.compiled <- slot;
-        None))
+    | _ ->
+      let c = compile ~inline ~is_builtin b in
+      b.Tcache.compiled <- Code c;
+      Tcache.note_compile tc;
+      Some c)
   | _ -> None
 
 (* Superblock caps: enough to swallow a guarded call's prologue + body
@@ -1708,13 +1561,13 @@ let try_fuse tc mem ~is_builtin ~inline (c : code) =
   end
 
 (* Per-constituent cycle attribution for the profiler: the same static
-   prefix-sum formula [run_code]'s finish charges with, split at
-   constituent boundaries, clamped to the retired prefix. Note order
-   inside a dispatch is irrelevant (the profiler aggregates by
-   address), so fused output is byte-identical to the per-block tiers. *)
+   prefix-sum formula [charge_exit] charges with, split at constituent
+   boundaries, clamped to the retired prefix. Note order inside a
+   dispatch is irrelevant (the profiler aggregates by address), so
+   fused output is byte-identical to the interpreter's per-block notes. *)
 let note_profile (c : code) cpu k =
   let parts = Array.length c.starts in
-  let n = Array.length c.ops in
+  let n = c.length in
   let charge i = c.csum.(i) + (i * cpu.Cpu.insn_tax) + (c.crsum.(i) * cpu.Cpu.call_tax) in
   let j = ref 0 in
   while !j < parts && c.starts.(!j) < k do
@@ -1727,34 +1580,30 @@ let note_profile (c : code) cpu k =
     incr j
   done
 
-(* The tier-2 block runner: execute [c0], then keep transferring
-   through live (or freshly patched) chain links until fuel runs out,
-   a non-[Running] outcome exits to the OS, or the successor is not
-   resolvable in-cache (bounce to the dispatcher, which decodes it).
-   Fuel, cycle and fault accounting are exactly the per-block tier's:
-   each hop retires through [run_code] with the remaining fuel. *)
-let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
+(* The block runner: execute [c0], then keep transferring through live
+   (or freshly patched) chain links until fuel runs out, a non-[Running]
+   outcome exits to the OS, or the successor is not resolvable in-cache
+   or is longer than the remaining fuel (bounce to the dispatcher, which
+   decodes it or hands it to the interpreter). The caller guarantees
+   [fuel >= c0.length]; every hop runs a whole translation, so fuel,
+   cycle and fault accounting are exactly the interpreter's. *)
+let run_chain cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
   let tc = cpu.Cpu.tcache in
   let profiling = Telemetry.Profile.enabled () in
   let threshold = Atomic.get fuse_threshold in
-  let tier3 = Atomic.get tier_flag >= 3 in
   let rec enter (c : code) fuel acc =
     let c =
       if c.fuse_tried || c.hot < threshold then c
-      else match try_fuse tc mem ~is_builtin ~inline c with Some sc -> sc | None -> c
+      else
+        (* a superblock too long for this hop still replaces the slot;
+           the plain translation runs this once *)
+        match try_fuse tc mem ~is_builtin ~inline c with
+        | Some sc when sc.length <= fuel -> sc
+        | _ -> c
     in
     c.hot <- c.hot + 1;
-    let outcome, k =
-      (* The register-caching chain has no fuel boundary inside it, so
-         it only runs when fuel covers the whole translation; otherwise
-         (and at tier 2) the per-step loop retires with exact limits. *)
-      match c.t3 with
-      | Some run3 when tier3 && fuel >= Array.length c.ops ->
-        let ((_, k) as r) = run3 cpu mem in
-        charge_exit c cpu k;
-        r
-      | _ -> run_code c cpu mem ~limit:fuel
-    in
+    let outcome, k = c.run cpu mem in
+    charge_exit c cpu k;
     if profiling then note_profile c cpu k;
     let acc = acc + k and fuel = fuel - k in
     match outcome with
@@ -1764,9 +1613,7 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
     let rip = cpu.Cpu.rip in
     let l = link_for c rip in
     match link_live tc mem l rip is_builtin with
-    | Some target ->
-      Tcache.note_chain_hop tc;
-      enter target fuel acc
+    | Some target -> hop target fuel acc
     | None -> (
       match c.exit_ with
       | Ir.Stop -> (Running, acc)
@@ -1774,9 +1621,14 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
         match resolve tc mem ~is_builtin ~inline rip with
         | Some target ->
           install_link tc l rip target;
-          Tcache.note_chain_hop tc;
-          enter target fuel acc
+          hop target fuel acc
         | None -> (Running, acc)))
+  and hop target fuel acc =
+    if target.length > fuel then (Running, acc)
+    else begin
+      Tcache.note_chain_hop tc;
+      enter target fuel acc
+    end
   in
   (* The dispatcher validated the head block's anchor; a superblock's
      tail constituents may still have gone stale. Strip back to a
@@ -1785,12 +1637,10 @@ let run_tier2 cpu mem ~is_builtin ~inline (c0 : code) ~fuel =
     if Array.length c0.blocks > 1 && not (code_anchors_ok mem c0) then begin
       let head = Array.unsafe_get c0.blocks 0 in
       head.Tcache.fused_ranges <- [||];
-      match compile ~inline ~is_builtin head with
-      | Code c as slot ->
-        head.Tcache.compiled <- slot;
-        Tcache.note_compile tc;
-        c
-      | _ -> assert false (* compile always returns Code *)
+      let c = compile ~inline ~is_builtin head in
+      head.Tcache.compiled <- Code c;
+      Tcache.note_compile tc;
+      c
     end
     else c0
   in

@@ -1,44 +1,45 @@
-(** Closure compilation of {!Tcache} blocks — tiers 1, 2 and 3 of the
-    execution stack.
+(** Closure compilation of {!Tcache} blocks — the compiled execution
+    tier beside the {!Exec} interpreter.
 
     [compile] lowers a decoded block through the explicit {!Ir}
-    (lift -> normalize -> emit) into an array of closures with
-    everything resolvable at translation time already resolved: operand
-    shapes specialized (no [read64]/[write64]/effective-address
+    (lift -> normalize -> emit) into a continuation chain of closures
+    with everything resolvable at translation time already resolved:
+    operand shapes specialized (no [read64]/[write64]/effective-address
     matching at retire time), immediates captured, FS-segment and
     missing-index addressing split into dedicated closures, direct-call
     builtin targets resolved against the environment's table, and
     straight-line cycle costs pre-summed so {!Cpu.add_cycles} runs once
-    per block exit.
-
-    Tier 2 ([run_tier2]) executes the same translations but keeps
-    control inside compiled code across block boundaries: each code
-    carries chain links that are patched to the successor's translation
-    the first time an exit resolves, hot codes are fused forward along
-    unconditional static exits into superblock translations, and small
-    pure glibc builtins can be emitted in line at their call sites
-    ([compile ~inline]). Links are validated per traversal against the
-    address space's identity and invalidation epoch, the target's slot
-    and decode anchors, and the environment key — see the notes in the
-    implementation for why each check exists (fork relatives,
-    [patch_text] on private pages, superblock replacement).
-
-    Tier 3 additionally caches the translation's hottest guest
+    per chain exit. The chain caches the translation's hottest guest
     registers (picked by {!Ir.cache_plan}) in closure "locals" —
-    arguments threaded through a continuation chain — writing them back
-    to {!Cpu.t} gprs only at exits, chain transfers, kernel-visible
+    arguments threaded from step to step — writing them back to
+    {!Cpu.t} gprs only at exits, chain transfers, kernel-visible
     outcomes and faults. The spill protocol notes in the implementation
     ([emit3]) explain why every fault still observes exact architectural
     register state.
 
-    All tiers are semantically invisible: faults (identity and partial
-    state), fuel accounting, builtin trapping, rdrand draws and the
-    cycle counter after every exit are byte-for-byte those of the
-    interpreter. [rdtsc] compiles against the retired prefix's static
-    cycle charge (deferred charging leaves [cycles] at the entry value,
-    and the charge to any mid-block point is translation-time static).
-    Traced runs still interpret ([on_retire] observes every retire,
-    which the compiled loop deliberately does not).
+    [run_chain] keeps control inside compiled code across block
+    boundaries: each code carries chain links that are patched to the
+    successor's translation the first time an exit resolves, hot codes
+    are fused forward along unconditional static exits into superblock
+    translations, and small pure glibc builtins can be emitted in line
+    at their call sites ([compile ~inline]). Links are validated per
+    traversal against the address space's identity and invalidation
+    epoch, the target's slot and decode anchors, and the environment
+    key — see the notes in the implementation for why each check exists
+    (fork relatives, [patch_text] on private pages, superblock
+    replacement).
+
+    A chain has no fuel boundary inside it: a translation runs only when
+    the remaining fuel covers it, and {!Exec} interprets the block
+    otherwise. Compiled execution is semantically invisible: faults
+    (identity and partial state), fuel accounting, builtin trapping,
+    rdrand draws and the cycle counter after every exit are
+    byte-for-byte those of the interpreter. [rdtsc] compiles against the
+    retired prefix's static cycle charge (deferred charging leaves
+    [cycles] at the entry value, and the charge to any mid-block point
+    is translation-time static). Traced runs still interpret
+    ([on_retire] observes every retire, which compiled code deliberately
+    does not).
 
     Compiled code is immutable and keyed ([(==)]) to the [is_builtin]
     closure it was specialized against, so fork clones sharing Tcache
@@ -58,10 +59,7 @@ type outcome = Compiled.outcome =
 
 type code
 
-type Compiled.slot += Code of code | Uncompilable
-
-(** [Uncompilable] is retained for slot compatibility; since [rdtsc]
-    became emittable, {!compile} always returns [Code _]. *)
+type Compiled.slot += Code of code
 
 type builtin_fn = Cpu.t -> Memory.t -> int64
 (** An inlinable builtin core: reads its arguments from the calling
@@ -72,29 +70,26 @@ val compile :
   ?inline:(string -> builtin_fn option) ->
   is_builtin:(int64 -> string option) ->
   Tcache.block ->
-  Compiled.slot
-(** Always returns [Code _]. [inline] (default: none)
-    lets direct calls to resolved builtins execute in line — the emitted
-    closure advances rip past the call, runs the core, writes rax and
-    continues, instead of exiting to the OS dispatcher. Faults raised by
-    the core surface as [Faulted] with rip at the return point, exactly
-    as the dispatcher leaves it. *)
+  code
+(** [inline] (default: none) lets direct calls to resolved builtins
+    execute in line — the emitted closure advances rip past the call,
+    runs the core, writes rax and continues, instead of exiting to the
+    OS dispatcher. Faults raised by the core surface as [Faulted] with
+    rip at the return point, exactly as the dispatcher leaves it. *)
 
 val key : code -> int64 -> string option
 (** The [is_builtin] the code was specialized against. Stale if not
     physically equal to the current environment's resolver. *)
 
+val length : code -> int
+(** Instructions the translation retires when it runs to its exit —
+    the fuel a run needs (a superblock is longer than its head block). *)
+
 val cached_regs : code -> int array
-(** The gpr indices the tier-3 chain caches in closure locals (a copy;
-    empty when the translation has no register-caching chain — no
-    register passed {!Ir.cache_plan}'s profitability bar). *)
+(** The gpr indices the chain caches in closure locals (a copy; empty
+    when no register passed {!Ir.cache_plan}'s profitability bar). *)
 
-val run_code : code -> Cpu.t -> Memory.t -> limit:int -> outcome * int
-(** Retire up to [limit] instructions from the code's start, returning
-    the last outcome and the retire count, with the interpreter's exact
-    cycle charging and rip/fault semantics. *)
-
-val run_tier2 :
+val run_chain :
   Cpu.t ->
   Memory.t ->
   is_builtin:(int64 -> string option) ->
@@ -102,36 +97,26 @@ val run_tier2 :
   code ->
   fuel:int ->
   outcome * int
-(** Tier-2/3 dispatch: run the code, then keep transferring through
-    live chain links (patching them on first resolution, forming
-    superblocks past the hotness threshold) until fuel is exhausted, a
-    non-[Running] outcome must surface to the OS, or the successor is
-    not resolvable from the cache — in which case [(Running, retired)]
-    bounces control back to {!Exec.step_block}'s dispatcher, which
-    decodes it. At tier 3 each hop runs the register-caching chain
-    instead of the per-step loop whenever remaining fuel covers the
-    whole translation. Also attributes per-constituent cycles to
-    {!Telemetry.Profile} when profiling is on (the caller must not note
-    again). *)
+(** Run the code (requires [fuel >= length code]), then keep
+    transferring through live chain links (patching them on first
+    resolution, forming superblocks past the hotness threshold) until
+    fuel is exhausted, a non-[Running] outcome must surface to the OS,
+    or the successor is not resolvable from the cache or is longer than
+    the remaining fuel — in which case [(Running, retired)] bounces
+    control back to {!Exec.step_block}'s dispatcher. Also attributes
+    per-constituent cycles to {!Telemetry.Profile} when profiling is on
+    (the caller must not note again). *)
 
 val set_tier : int -> unit
-(** Process-wide tier switch: 0 = interpreter, 1 = per-block closures,
-    2 = chained/fused, 3 = chained/fused with register caching
-    (default). Flip only while no simulated cpu is mid-run — the bench
-    driver's [--compile-tier] and tests. Raises [Invalid_argument]
-    outside [0..3]. *)
+(** Process-wide tier switch: 0 = interpreter, 3 = compiled (default).
+    Flip only while no simulated cpu is mid-run — the bench driver's
+    [--compile-tier] and tests. Raises [Invalid_argument] for any other
+    value. *)
 
 val tier : unit -> int
 
-val set_enabled : bool -> unit
-(** [set_enabled b] = [set_tier (if b then 3 else 0)] — legacy on/off
-    switch. *)
-
-val enabled : unit -> bool
-(** Some compile tier is active ([tier () > 0]). *)
-
 val set_fuse_threshold : int -> unit
-(** Tier-2 entries a code must see before superblock formation is
+(** Entries a code must see before superblock formation is
     attempted (clamped to >= 1; default 16). Tests set 1 to fuse on
     first execution. *)
 
@@ -139,8 +124,9 @@ val get_fuse_threshold : unit -> int
 
 (** {2 Shared semantics helpers}
 
-    Single definitions used by both tiers (and by targeted tests), so
-    flag arithmetic and stack discipline cannot drift between them. *)
+    Single definitions used by the interpreter and the compiled tier
+    (and by targeted tests), so flag arithmetic and stack discipline
+    cannot drift between them. *)
 
 val set_logic_flags : Cpu.flags -> int64 -> unit
 val set_add_flags : Cpu.flags -> int64 -> int64 -> int64 -> unit

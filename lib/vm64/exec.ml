@@ -8,8 +8,8 @@ type outcome = Compiled.outcome =
 type env = {
   is_builtin : int64 -> string option;
   inline_builtin : string -> Compile.builtin_fn option;
-      (* tier-2 builtin inlining: cores a direct call may run in line
-         instead of exiting to the OS dispatcher. Default: none — only
+      (* builtin inlining: cores a direct call in compiled code may run
+         in line instead of exiting to the OS dispatcher. Default: none — only
          environments whose dispatcher semantics the inline cores
          reproduce exactly (the kernel's) opt in. *)
   on_retire : (Cpu.t -> Isa.Insn.t -> unit) option;
@@ -109,7 +109,7 @@ let decode_block mem rip =
 
 (* The cached block is only valid for THIS address space while every
    page it was decoded from still holds the same payload object — the
-   check lives in {!Tcache.anchor_valid} so the tier-2 chain runner
+   check lives in {!Tcache.anchor_valid} so the compiled chain runner
    applies the identical predicate before jumping into a successor. *)
 let anchor_valid mem (b : Tcache.block) = Tcache.anchor_valid mem b
 
@@ -193,7 +193,7 @@ let write32 cpu mem op v =
     raise (Fault.Trap (Fault.Bad_instruction (cpu.Cpu.rip, "store to immediate")))
 
 (* Flag arithmetic, stack discipline and condition tests are shared with
-   the closure tier — one definition, no drift. *)
+   the compiled tier — one definition, no drift. *)
 let set_logic_flags = Compile.set_logic_flags
 let set_add_flags = Compile.set_add_flags
 let set_sub_flags = Compile.set_sub_flags
@@ -401,7 +401,7 @@ let execute env cpu mem insn next_rip =
   | Movdqu_load (x, m) ->
     let ea = effective_address cpu m in
     (* explicit high-then-low read order (what the right-to-left tuple
-       evaluation always compiled to), pinned so the closure tier can
+       evaluation always compiled to), pinned so the compiled tier can
        mirror the fault address of a half-unmapped access *)
     let hi = Memory.read_u64 mem (Int64.add ea 8L) in
     let lo = Memory.read_u64 mem ea in
@@ -456,10 +456,9 @@ let interp_block env cpu mem b ~max_insns =
   go 0
 
 (* Per-block exit accounting for the cycle profiler: everything the
-   dispatch charged (pre-summed straight-line costs in the compiled
-   tier, per-insn adds in the interpreter) is attributed to the block's
-   start address in one note. The tier-2 chain runner attributes its
-   own per-constituent cycles instead (see [Compile.run_tier2]) — its
+   interpreter charged is attributed to the block's start address in
+   one note. The compiled chain runner attributes its own
+   per-constituent cycles instead (see [Compile.run_chain]) — its
    dispatches must NOT pass through here, or blocks would be charged
    twice. *)
 let profiled cpu addr f =
@@ -473,49 +472,37 @@ let profiled cpu addr f =
 
 (* Tier dispatch. Traced runs always interpret (the probe observes
    every retire); otherwise a block is translated once per environment
-   and the closure array is reused — including by fork relatives
-   sharing the block record, since compilation is deterministic and the
-   result immutable. Under tiers 2 and 3 the translation additionally
-   runs through the chain runner, which keeps control inside compiled
-   code across block exits until fuel runs out or a successor misses
-   the cache (tier 3 further swaps each hop to the register-caching
-   chain when fuel covers it). A fetch fault retires nothing. *)
+   and the translation is reused — including by fork relatives sharing
+   the block record, since compilation is deterministic and the result
+   immutable. The translation runs through the chain runner, which keeps
+   control inside compiled code across block exits until fuel runs out
+   or a successor misses the cache. A translation has no fuel boundary
+   inside it, so when the remaining fuel does not cover it the
+   interpreter retires this block instead. A fetch fault retires
+   nothing. *)
 let dispatch_block env cpu mem b ~max_insns =
-  let addr = b.Tcache.bb_start in
-  let interp () = profiled cpu addr (fun () -> interp_block env cpu mem b ~max_insns) in
-  match env.on_retire with
-  | Some _ -> interp ()
-  | None -> (
-    match Compile.tier () with
-    | 0 -> interp ()
-    | tier -> (
-      let chained = tier >= 2 in
-      let run c =
-        if chained then
-          Compile.run_tier2 cpu mem ~is_builtin:env.is_builtin
-            ~inline:env.inline_builtin c ~fuel:max_insns
-        else profiled cpu addr (fun () -> Compile.run_code c cpu mem ~limit:max_insns)
-      in
+  let interp () =
+    profiled cpu b.Tcache.bb_start (fun () -> interp_block env cpu mem b ~max_insns)
+  in
+  if Option.is_some env.on_retire || Compile.tier () = 0 then interp ()
+  else begin
+    let c =
       match b.Tcache.compiled with
-      | Compile.Code c when Compile.key c == env.is_builtin -> run c
-      | Compile.Uncompilable -> interp ()
-      | _ -> (
-        (* not yet compiled, or compiled against another environment.
-           Tier 1 compiles without inlining, preserving its exact
-           per-block dispatch protocol (builtin calls exit to the OS). *)
-        let slot =
-          if chained then
-            Compile.compile ~inline:env.inline_builtin ~is_builtin:env.is_builtin b
-          else Compile.compile ~is_builtin:env.is_builtin b
+      | Compile.Code c when Compile.key c == env.is_builtin -> c
+      | _ ->
+        (* not yet compiled, or compiled against another environment *)
+        let c =
+          Compile.compile ~inline:env.inline_builtin ~is_builtin:env.is_builtin b
         in
-        match slot with
-        | Compile.Code c ->
-          b.Tcache.compiled <- slot;
-          Tcache.note_compile cpu.Cpu.tcache;
-          run c
-        | _ ->
-          b.Tcache.compiled <- slot;
-          interp ())))
+        b.Tcache.compiled <- Compile.Code c;
+        Tcache.note_compile cpu.Cpu.tcache;
+        c
+    in
+    if Compile.length c > max_insns then interp ()
+    else
+      Compile.run_chain cpu mem ~is_builtin:env.is_builtin
+        ~inline:env.inline_builtin c ~fuel:max_insns
+  end
 
 let step_block env cpu mem ~max_insns =
   match fetch_block cpu mem with

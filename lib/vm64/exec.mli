@@ -4,10 +4,11 @@
     interpreter in four ways, which the OS layer dispatches on:
     glibc-builtin calls, syscall traps, [hlt], and hardware faults.
 
-    Untraced runs execute through the {!Compile} closure tier whenever
-    the current block has a translation (building one on first
-    execution); traced runs ([on_retire]) and blocks the tier rejects
-    fall back to per-instruction interpretation. The two tiers are
+    Untraced runs execute through the {!Compile} closure tier (building
+    a block's translation on first execution); traced runs
+    ([on_retire]), and blocks whose translation is longer than the
+    remaining fuel, fall back to per-instruction interpretation. The
+    two tiers are
     observationally identical — registers, flags, memory, cycle counts,
     RNG draws, fault identity and fuel accounting — so which one ran is
     invisible to everything above {!Exec}. *)
@@ -41,12 +42,14 @@ val create_env :
     before it executes — the hook behind execution tracing. Supplying it
     pins execution to the interpreter tier.
 
-    [inline_builtin] (default: none) gives tier 2 permission to run the
+    [inline_builtin] (default: none) lets compiled code run the
     named builtin cores in line at direct call sites instead of exiting
     with [Builtin]. Only supply cores whose effects — memory writes,
     cycle charges, rax, fault behaviour — are exactly what the OS
     dispatcher would have produced; with inlining on, a [Stopped
-    (Builtin _)] for those names simply never surfaces from {!run}. *)
+    (Builtin _)] for those names surfaces from {!run} only where the
+    interpreter retires the call (traced runs, or a block whose
+    translation is longer than the remaining fuel). *)
 
 val step : env -> Cpu.t -> Memory.t -> outcome
 

@@ -117,11 +117,12 @@ let normalize t = { t with steps = Array.map normalize_step t.steps }
 (* ---- def-use: which gprs a step touches, and which run hot ---------- *)
 
 (* Per-step (reads, writes) over gpr indices, from the operand roles of
-   the instruction. This drives tier 3's register-caching *heuristic*
-   only: correctness there never depends on these sets being tight
-   (a step the emitter cannot specialize runs through a spill/reload
-   wrapper), so conservative over-approximation is fine — e.g. [Movb]
-   register destinations count as read+write (low-byte merge), and
+   the instruction. This drives the compiled tier's register-caching
+   *heuristic* only: correctness there never depends on these sets
+   being tight (a step the emitter cannot specialize runs through a
+   spill/reload wrapper), so conservative over-approximation is fine —
+   e.g. [Movb] register destinations count as read+write (low-byte
+   merge), and
    kernel-visible steps (syscall, builtin calls) contribute nothing
    because the emitter spills everything around them anyway. *)
 let step_gprs (s : step) : int list * int list =

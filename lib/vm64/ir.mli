@@ -1,4 +1,4 @@
-(** Explicit IR of decoded blocks — the data the compile tiers lower.
+(** Explicit IR of decoded blocks — the data the compiled tier lowers.
 
     Produced from a {!Tcache.block} by {!lift}, refined by
     {!normalize}, and concatenated into superblocks by {!fuse}; emitted
@@ -57,8 +57,9 @@ val normalize : t -> t
 
 val step_gprs : step -> int list * int list
 (** [(reads, writes)] over gpr indices, from the instruction's operand
-    roles. Drives tier 3's caching heuristic only — conservative
-    over-approximation is fine, correctness never depends on it. *)
+    roles. Drives the compiled tier's caching heuristic only —
+    conservative over-approximation is fine, correctness never depends
+    on it. *)
 
 val cache_plan : ?limit:int -> t -> int array
 (** The translation's hot gprs, most-accessed first, at most [limit]

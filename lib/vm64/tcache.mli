@@ -44,7 +44,7 @@ type block = {
           deterministic, so clones aliasing this record share compiled
           code for free. Starts [Not_compiled]; dropping the block drops
           the translation, which is how invalidation reaches the compile
-          tier. Tier 2 may later replace a [Code] slot with a superblock
+          tier. Superblock fusion may later replace a [Code] slot with one
           that subsumes it (same entry semantics, more instructions). *)
   mutable fused_ranges : (int64 * int) array;
       (** extra [(addr, len)] text extents covered by a superblock
@@ -61,7 +61,7 @@ val anchor_valid : Memory.t -> block -> bool
     covered page holds the same payload {e object} it was decoded from
     (physical equality — CoW never mutates an aliased payload in
     place). Empty anchor (test-built blocks) is always valid. Checked by
-    {!Exec.fetch_block} on every hit and by tier-2 chain links before
+    {!Exec.fetch_block} on every hit and by compiled chain links before
     jumping into a successor's translation. *)
 
 val make_block : ?anchor:bytes array -> start:int64 -> (Isa.Insn.t * int) array -> block
@@ -95,7 +95,7 @@ val note_compile : t -> unit
 (** Record one closure-tier block translation. *)
 
 val note_chain : t -> unit
-(** Record one tier-2 exit link patched to a successor's translation. *)
+(** Record one exit link patched to a successor's translation. *)
 
 val note_superblock : t -> unit
 (** Record one hot chain fused into a superblock translation. *)
@@ -153,7 +153,7 @@ type exec_stats = {
   mutable misses : int;  (** lookups that forced a decode *)
   mutable compiles : int;  (** blocks translated by the closure tier *)
   mutable invalidated : int;  (** cached blocks dropped by invalidation *)
-  mutable chains : int;  (** tier-2 exit links patched to a successor *)
+  mutable chains : int;  (** exit links patched to a successor *)
   mutable superblocks : int;  (** hot chains fused into one translation *)
   mutable chain_hops : int;  (** dispatcher returns avoided via a link *)
 }

@@ -274,7 +274,8 @@ let specs_for jobs budget tier =
   [
     Harness.Cli.nonneg_int ~name:"--jobs" ~docv:"N" ~doc:"jobs" (fun v -> jobs := v);
     Harness.Cli.pos_int ~name:"--budget" ~docv:"N" ~doc:"budget" (fun v -> budget := v);
-    Harness.Cli.tier_value ~name:"--compile-tier" ~doc:"tier" (fun v -> tier := v);
+    Harness.Cli.on_off ~name:"--compile-tier" ~doc:"tier" (fun on ->
+        tier := if on then 3 else 0);
   ]
 
 let check_bad specs args expected =
@@ -295,14 +296,6 @@ let test_cli_parse () =
     Alcotest.(check int) "--jobs applied" 4 !jobs;
     Alcotest.(check int) "--budget applied" 500 !budget;
     Alcotest.(check int) "--compile-tier applied" 0 !tier;
-    (match Harness.Cli.parse specs [ "--compile-tier"; "1" ] with
-    | Harness.Cli.Positionals [] ->
-      Alcotest.(check int) "--compile-tier 1 applied" 1 !tier
-    | _ -> Alcotest.fail "--compile-tier 1 must parse");
-    (match Harness.Cli.parse specs [ "--compile-tier"; "2" ] with
-    | Harness.Cli.Positionals [] ->
-      Alcotest.(check int) "--compile-tier 2 applied" 2 !tier
-    | _ -> Alcotest.fail "--compile-tier 2 must parse");
     (match Harness.Cli.parse specs [ "--compile-tier"; "on" ] with
     | Harness.Cli.Positionals [] ->
       Alcotest.(check int) "--compile-tier on means 3" 3 !tier
@@ -325,7 +318,9 @@ let test_cli_errors () =
   check_bad specs [ "--budget" ] "--budget expects an argument";
   check_bad specs
     [ "--compile-tier"; "maybe" ]
-    "--compile-tier expects off, 1, 2, 3 or on, got maybe"
+    "--compile-tier expects on or off, got maybe";
+  (* the per-block (1) and chained (2) tiers are gone *)
+  check_bad specs [ "--compile-tier"; "1" ] "--compile-tier expects on or off, got 1"
 
 let test_cli_profile_top () =
   (match Harness.Cli.parse_profile_top "top=10" with
@@ -349,7 +344,7 @@ let test_cli_usage () =
   Alcotest.(check bool) "usage lists --jobs" true
     (Astring.String.is_infix ~affix:"--jobs N" usage);
   Alcotest.(check bool) "usage lists tier docv" true
-    (Astring.String.is_infix ~affix:"--compile-tier off|1|2|3|on" usage)
+    (Astring.String.is_infix ~affix:"--compile-tier on|off" usage)
 
 let () =
   Alcotest.run "telemetry"
