@@ -93,6 +93,21 @@ let get_blob c =
   c.pos <- c.pos + n;
   b
 
+(* Every section [Kernel.spawn] maps must lie inside the image window
+   of the fixed guest layout, [text_base, heap_base): a corrupt base
+   would otherwise map pages, and grow the page directory, anywhere in
+   the 64-bit address space. An empty section is checked at its base,
+   because spawn still maps a page there (text and data). *)
+let check_window what base len =
+  let lo = Vm64.Layout.text_base and hi = Vm64.Layout.heap_base in
+  if
+    Int64.compare base lo < 0
+    || Int64.compare base hi >= 0
+    || Int64.compare (Int64.of_int len) (Int64.sub hi base) > 0
+  then
+    fail "%s section [0x%Lx, +0x%x) outside the image window [0x%Lx, 0x%Lx)"
+      what base len lo hi
+
 let read data =
   let c = { data; pos = 0 } in
   need c (String.length magic);
@@ -112,10 +127,13 @@ let read data =
   let entry = get_u64 c in
   let text_base = get_u64 c in
   let text = get_blob c in
+  check_window "text" text_base (Bytes.length text);
   let data_base = get_u64 c in
   let data_sec = get_blob c in
+  check_window "data" data_base (Bytes.length data_sec);
   let extra_base = get_u64 c in
   let extra = get_blob c in
+  if Bytes.length extra > 0 then check_window "extra" extra_base (Bytes.length extra);
   let nsyms = get_u32 c in
   if nsyms > 1_000_000 then fail "implausible symbol count %d" nsyms;
   let symbols =

@@ -13,7 +13,10 @@ val version : int
 val write : Image.t -> bytes
 val read : bytes -> Image.t
 (** Raises {!Format_error} on anything malformed: bad magic, unknown
-    version, truncation, or inconsistent section lengths. *)
+    version, truncation, inconsistent section lengths, or a text, data
+    or (non-empty) extra section [\[base, base+len)] outside the image
+    window [\[Layout.text_base, Layout.heap_base)] of the fixed guest
+    layout. *)
 
 val save : Image.t -> string -> unit
 (** Write to a file path. *)

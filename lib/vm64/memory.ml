@@ -20,8 +20,13 @@ let page_bits = 12
      [own_chunk] first, which gives this space fresh records whose
      [private_] flags are cleared (a clone happened since the chunk was
      last owned, so every payload in it is aliased by construction).
-   - [no_page] and [empty_chunk] are immutable sentinels, shared by all
-     spaces and domains. *)
+   - [no_page], [empty_chunk] and [zero_page] are immutable sentinels,
+     shared by all spaces and domains.
+   - Mapping is demand-zero: a freshly mapped page's record holds the
+     shared [zero_page] payload with [private_] set, and [rw_page]
+     swaps in a fresh zeroed page on its first write. [zero_page] is
+     therefore never written, so payload identity still implies byte
+     identity (the Tcache anchor contract). *)
 type page = {
   mutable data : bytes;
   mutable private_ : bool;  (* sole owner of [data]; safe to write in place *)
@@ -33,6 +38,7 @@ type family_stats = {
   mutable clones : int;  (* Memory.clone calls in this family *)
   mutable pages_aliased : int;  (* pages shared (not copied) at clone time *)
   mutable cow_breaks : int;  (* shared pages privatised by a write *)
+  mutable zero_fills : int;  (* demand-zero pages materialised by a write *)
 }
 
 (* Process-wide totals fold over a registry of family records instead
@@ -56,13 +62,15 @@ let fold_families () =
         clones = acc.clones + f.clones;
         pages_aliased = acc.pages_aliased + f.pages_aliased;
         cow_breaks = acc.cow_breaks + f.cow_breaks;
+        zero_fills = acc.zero_fills + f.zero_fills;
       })
-    { clones = 0; pages_aliased = 0; cow_breaks = 0 }
+    { clones = 0; pages_aliased = 0; cow_breaks = 0; zero_fills = 0 }
     fams
 
 let metric_clones = "vm.mem.clones"
 let metric_pages_aliased = "vm.mem.pages_aliased"
 let metric_cow_breaks = "vm.mem.cow_breaks"
+let metric_zero_fills = "vm.mem.zero_fills"
 
 let () =
   Telemetry.Registry.register_group
@@ -74,6 +82,7 @@ let () =
       (metric_clones, fun () -> (fold_families ()).clones);
       (metric_pages_aliased, fun () -> (fold_families ()).pages_aliased);
       (metric_cow_breaks, fun () -> (fold_families ()).cow_breaks);
+      (metric_zero_fills, fun () -> (fold_families ()).zero_fills);
     ]
 
 let chunk_bits = 6
@@ -86,6 +95,9 @@ let initial_chunks = 512
 let no_page = { data = Bytes.create 0; private_ = true }
 let empty_chunk : page array = Array.make chunk_pages no_page
 
+(* The payload of every mapped, never-written page. *)
+let zero_page = Bytes.make page_size '\000'
+
 type t = {
   mutable top : page array array;  (* chunk index -> page records *)
   mutable owned : Bytes.t;  (* '\001' per chunk: records are private to us *)
@@ -94,7 +106,7 @@ type t = {
 }
 
 let create () =
-  let family = { clones = 0; pages_aliased = 0; cow_breaks = 0 } in
+  let family = { clones = 0; pages_aliased = 0; cow_breaks = 0; zero_fills = 0 } in
   Mutex.lock registry_mu;
   registry := family :: !registry;
   Mutex.unlock registry_mu;
@@ -150,7 +162,7 @@ let map t ~addr ~len =
     let ch = Array.unsafe_get t.top c in
     let s = idx land (chunk_pages - 1) in
     if Array.unsafe_get ch s == no_page then begin
-      Array.unsafe_set ch s { data = Bytes.make page_size '\000'; private_ = true };
+      Array.unsafe_set ch s { data = zero_page; private_ = true };
       t.mapped_pages <- t.mapped_pages + 1
     end
   done
@@ -174,9 +186,11 @@ let page_exn t addr =
 let ro_page t addr = (page_exn t addr).data
 
 (* Write path: own the chunk's records, then break payload sharing with
-   a private copy on first dirty. An unmapped address faults before any
-   sharing is broken (chunk materialisation is invisible: no payload is
-   copied and no counter moves). *)
+   a private copy on first dirty, or give a private demand-zero page its
+   own zeroed payload on first write. An unmapped address faults before
+   any sharing is broken (chunk materialisation is invisible: no payload
+   is copied and no counter moves). A page first written after a clone
+   takes the copy path, so it counts one CoW break and no zero fill. *)
 let rw_page t addr =
   let idx = page_of addr in
   let c = idx lsr chunk_bits in
@@ -185,7 +199,16 @@ let rw_page t addr =
   if Bytes.unsafe_get t.owned c <> '\001' then own_chunk t c;
   let p = Array.unsafe_get (Array.unsafe_get t.top c) (idx land (chunk_pages - 1)) in
   if p == no_page then raise (Fault.Trap (Fault.Segfault addr));
-  if p.private_ then p.data
+  if p.private_ then begin
+    let d = p.data in
+    if d != zero_page then d
+    else begin
+      let d = Bytes.make page_size '\000' in
+      p.data <- d;
+      t.family.zero_fills <- t.family.zero_fills + 1;
+      d
+    end
+  end
   else begin
     let d = Bytes.copy p.data in
     p.data <- d;
@@ -337,4 +360,5 @@ let family_stats t =
     clones = t.family.clones;
     pages_aliased = t.family.pages_aliased;
     cow_breaks = t.family.cow_breaks;
+    zero_fills = t.family.zero_fills;
   }

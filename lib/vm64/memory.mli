@@ -21,8 +21,11 @@ val create : unit -> t
 val page_size : int
 
 val map : t -> addr:int64 -> len:int -> unit
-(** Map (zero-filled) all pages covering [addr, addr+len). Already
-    mapped pages are left untouched. *)
+(** Map all pages covering [addr, addr+len) as demand-zero: each new
+    page reads as zeros and counts as resident, but holds one shared,
+    never-written zero payload until its first write materialises a
+    private zeroed page ([zero_fills]). No page payload is allocated
+    here. Already mapped pages are left untouched. *)
 
 val is_mapped : t -> int64 -> bool
 
@@ -86,6 +89,10 @@ type family_stats = {
   mutable clones : int;  (** {!clone} calls *)
   mutable pages_aliased : int;  (** pages shared instead of copied at clone *)
   mutable cow_breaks : int;  (** shared pages privatised by a first write *)
+  mutable zero_fills : int;
+      (** demand-zero pages materialised by their first write. A page
+          first written after a clone counts as a CoW break instead, so
+          every page allocation after {!map} is counted exactly once. *)
 }
 
 val family_stats : t -> family_stats
@@ -96,7 +103,8 @@ val family_stats : t -> family_stats
 val metric_clones : string
 val metric_pages_aliased : string
 val metric_cow_breaks : string
-(** Names under which the process-wide fork-path totals are published to
+val metric_zero_fills : string
+(** Names under which the process-wide page-path totals are published to
     {!Telemetry.Registry} (one metric group; resetting any of them
-    resets all three). Read process-wide totals with
+    resets all four). Read process-wide totals with
     [Telemetry.Registry.read_int] on these names. *)

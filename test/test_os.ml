@@ -577,6 +577,57 @@ let test_objfile_rejects_garbage () =
   check_fails (Bytes.sub good 0 (Bytes.length good - 3));
   check_fails (Bytes.sub good 0 20)
 
+let test_objfile_rejects_out_of_window () =
+  (* a corrupt section base must be a typed error, not a mapping (and a
+     page-directory growth) somewhere in the 64-bit address space *)
+  let image =
+    Mcc.Driver.compile ~scheme:Pssp.Scheme.Ssp ~linkage:Os.Image.Static
+      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+  in
+  let patched, _ = Rewriter.Driver.instrument image in
+  Alcotest.(check bool) "instrumented image has an extra section" true
+    (Bytes.length patched.Os.Image.extra > 0);
+  ignore (Os.Objfile.read (Os.Objfile.write patched));
+  let rejects what (bad : Os.Image.t) =
+    let file = Os.Objfile.write bad in
+    let before = Gc.allocated_bytes () in
+    (match Os.Objfile.read file with
+    | exception Os.Objfile.Format_error _ -> ()
+    | _ -> Alcotest.failf "%s: out-of-window image accepted" what);
+    let allocated = Gc.allocated_bytes () -. before in
+    if allocated > 1e6 then
+      Alcotest.failf "%s: rejecting allocated %.0f bytes" what allocated
+  in
+  (* one flipped byte turns data_base 0x60_0000 into 0x1900_0060_0000 *)
+  rejects "data far away" { patched with Os.Image.data_base = 0x1900_0060_0000L };
+  rejects "data below the window" { patched with Os.Image.data_base = 0x1000L };
+  rejects "data at the heap" { patched with Os.Image.data_base = Vm64.Layout.heap_base };
+  rejects "data running into the heap"
+    {
+      patched with
+      Os.Image.data_base = Int64.sub Vm64.Layout.heap_base 8L;
+      data = Bytes.make 16 'd';
+    };
+  rejects "text far away"
+    { patched with Os.Image.text_base = 0x1900_0040_0000L; entry = 0x1900_0040_0000L };
+  rejects "negative text base"
+    { patched with Os.Image.text_base = Int64.min_int; entry = Int64.min_int };
+  rejects "extra far away"
+    { patched with Os.Image.extra_base = 0x1900_0050_0000L }
+
+let test_spawn_allocation () =
+  (* mapping is demand-zero: booting a process allocates page records,
+     not the ~1.6 MB of zeroed stack, heap, TLS and buffer pages *)
+  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let k = Os.Kernel.create () in
+  let before = Gc.allocated_bytes () in
+  let p = Os.Kernel.spawn k image in
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= 256. *. 1024. then
+    Alcotest.failf "cold spawn allocated %.0f bytes (limit 256 KiB)" allocated;
+  Alcotest.(check bool) "and the process boots to accept" true
+    (kernel_run k p = Os.Kernel.Stop_accept)
+
 let test_objfile_save_load () =
   let image = compile "int main() { print_str(\"persisted\"); return 0; }" in
   let path = Filename.temp_file "pssp" ".bin" in
@@ -599,6 +650,8 @@ let () =
           Alcotest.test_case "stdin" `Quick test_stdin;
           Alcotest.test_case "abort" `Quick test_abort;
           Alcotest.test_case "dead process rejected" `Quick test_run_dead_process_rejected;
+          Alcotest.test_case "cold spawn allocates no page payloads" `Quick
+            test_spawn_allocation;
         ] );
       ( "glibc",
         [
@@ -657,6 +710,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_objfile_roundtrip;
           Alcotest.test_case "rewritten roundtrip" `Quick test_objfile_rewritten_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_objfile_rejects_garbage;
+          Alcotest.test_case "rejects out-of-window sections" `Quick
+            test_objfile_rejects_out_of_window;
           Alcotest.test_case "save/load" `Quick test_objfile_save_load;
         ] );
     ]

@@ -157,6 +157,109 @@ let test_cow_accounting () =
   Alcotest.(check int) "telemetry shared with the child" 1
     (Memory.family_stats c).Memory.clones
 
+(* ---- demand-zero pages ------------------------------------------------------ *)
+
+let zero_fills m = (Memory.family_stats m).Memory.zero_fills
+let cow_breaks m = (Memory.family_stats m).Memory.cow_breaks
+
+let test_demand_zero_reads () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0L ~len:(3 * 4096);
+  Alcotest.check i64 "u64 reads zero" 0L (Memory.read_u64 m 8L);
+  Alcotest.check i64 "u32 reads zero" 0L (Memory.read_u32 m 8190L);
+  Alcotest.(check bool) "whole range reads zero" true
+    (Bytes.equal (Memory.read_bytes m 0L (3 * 4096)) (Bytes.make (3 * 4096) '\000'));
+  Alcotest.(check int) "empty string" 0 (Memory.cstr_len m 4096L);
+  (match Memory.code_window m 100L with
+  | Some (page, 100) ->
+    Alcotest.(check bool) "fetch window is zeros" true
+      (Bytes.equal page (Bytes.make 4096 '\000'))
+  | _ -> Alcotest.fail "mapped page has no fetch window");
+  Alcotest.(check int) "resident before any write" (3 * 4096) (Memory.resident_bytes m);
+  Alcotest.(check int) "nothing shared" 0 (Memory.shared_bytes m);
+  Alcotest.(check int) "reads materialise nothing" 0 (zero_fills m)
+
+let test_demand_zero_first_write () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0L ~len:(2 * 4096);
+  Memory.write_u8 m 5L 0xAA;
+  Alcotest.(check int) "first write fills one page" 1 (zero_fills m);
+  Alcotest.(check int) "no CoW break before a clone" 0 (cow_breaks m);
+  Memory.write_u64 m 16L 7L;
+  Alcotest.(check int) "second write to the page fills nothing" 1 (zero_fills m);
+  Alcotest.(check int) "rest of the page still zero" 0 (Memory.read_u8 m 6L);
+  Memory.write_bytes m 4096L (Bytes.of_string "x");
+  Alcotest.(check int) "other page filled on its first write" 2 (zero_fills m);
+  Alcotest.(check int) "residency unchanged by filling" (2 * 4096)
+    (Memory.resident_bytes m)
+
+let test_demand_zero_after_clone () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0L ~len:(2 * 4096);
+  let c = Memory.clone m in
+  Memory.write_u8 c 0L 1;
+  Alcotest.(check int) "child's first write: one CoW break" 1 (cow_breaks m);
+  Alcotest.(check int) "and no zero fill" 0 (zero_fills m);
+  Memory.write_u8 m 4096L 2;
+  Alcotest.(check int) "parent's first write: one more CoW break" 2 (cow_breaks m);
+  Memory.write_u8 m 0L 3;
+  Alcotest.(check int) "parent's write to the child's page: one more" 3
+    (cow_breaks m);
+  Alcotest.(check int) "still no zero fill" 0 (zero_fills c);
+  Alcotest.(check int) "child sees its write" 1 (Memory.read_u8 c 0L);
+  Alcotest.(check int) "parent sees its write" 3 (Memory.read_u8 m 0L);
+  Alcotest.(check int) "child page 1 still zero" 0 (Memory.read_u8 c 4096L)
+
+let test_demand_zero_no_leak () =
+  (* every mapped page starts on one shared zero payload: a write in any
+     space, related or not, must never show up anywhere else *)
+  let a = Memory.create () in
+  Memory.map a ~addr:0L ~len:4096;
+  let b = Memory.create () in
+  Memory.map b ~addr:0L ~len:4096;
+  let c = Memory.clone a in
+  Memory.write_u64 a 0L 0x1111L;
+  Memory.write_bytes c 8L (Bytes.make 8 '\x22');
+  Alcotest.check i64 "unrelated space untouched" 0L (Memory.read_u64 b 0L);
+  Alcotest.check i64 "child untouched by parent" 0L (Memory.read_u64 c 0L);
+  Alcotest.check i64 "parent untouched by child" 0L (Memory.read_u64 a 8L);
+  let fresh = Memory.create () in
+  Memory.map fresh ~addr:0x5000L ~len:4096;
+  Alcotest.(check bool) "a later mapping still reads zero" true
+    (Bytes.equal (Memory.read_bytes fresh 0x5000L 4096) (Bytes.make 4096 '\000'))
+
+let test_demand_zero_redecode tier () =
+  (* a block decoded from a never-written page (zeros decode as nops) is
+     anchored to the shared zero payload; the page's first write swaps
+     the payload, so the stale decode misses even without an explicit
+     invalidation *)
+  let saved = Compile.tier () in
+  Compile.set_tier tier;
+  Fun.protect ~finally:(fun () -> Compile.set_tier saved) @@ fun () ->
+  let env = Exec.create_env ~is_builtin:(fun _ -> None) () in
+  let cpu = Cpu.create () in
+  let mem = Memory.create () in
+  Memory.map mem ~addr:0x2000L ~len:8192;
+  Memory.write_bytes mem 0x3000L (Encode.list_to_bytes [ Insn.Hlt ]);
+  let run () =
+    cpu.Cpu.rip <- 0x2000L;
+    match Exec.run ~max_insns:100_000 env cpu mem with
+    | Exec.Stopped Exec.Halted -> ()
+    | _ -> Alcotest.fail "expected hlt"
+  in
+  run ();
+  run ();
+  Alcotest.check i64 "nop sled ran" 0L (Cpu.get cpu Reg.RAX);
+  Alcotest.(check int) "decoding filled nothing: only the hlt page" 1
+    (zero_fills mem);
+  if tier > 0 then
+    Alcotest.(check bool) "the sled was compiled" true
+      ((Tcache.exec_stats cpu.Cpu.tcache).Tcache.compiles > 1);
+  Memory.write_bytes mem 0x2000L
+    (Encode.list_to_bytes [ Insn.Mov (Operand.reg Reg.RAX, Operand.imm 5L); Insn.Hlt ]);
+  run ();
+  Alcotest.check i64 "re-decoded after the first write" 5L (Cpu.get cpu Reg.RAX)
+
 let test_cstr_len () =
   let m = Memory.create () in
   Memory.map m ~addr:0L ~len:8192;
@@ -808,6 +911,21 @@ let () =
             test_cow_memoized_page_write_through;
           Alcotest.test_case "resident/shared accounting" `Quick
             test_cow_accounting;
+        ] );
+      ( "demand-zero",
+        [
+          Alcotest.test_case "unwritten pages read zero, count resident"
+            `Quick test_demand_zero_reads;
+          Alcotest.test_case "first write fills, no CoW break" `Quick
+            test_demand_zero_first_write;
+          Alcotest.test_case "first write after clone: one CoW break" `Quick
+            test_demand_zero_after_clone;
+          Alcotest.test_case "writes never leak through the zero page" `Quick
+            test_demand_zero_no_leak;
+          Alcotest.test_case "re-decode after first write (interpreter)"
+            `Quick (test_demand_zero_redecode 0);
+          Alcotest.test_case "re-decode after first write (compiled)" `Quick
+            (test_demand_zero_redecode 3);
         ] );
       ( "alu",
         [
