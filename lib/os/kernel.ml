@@ -173,6 +173,9 @@ let exit_stub_code =
 
 let spawn t ?(input = Bytes.create 0) ?(preload = Preload.No_preload)
     ?(insn_tax = 0) ?(call_tax = 0) (image : Image.t) =
+  (* images built in process (mcc, the rewriter) get the same window
+     check as images read from a file *)
+  Objfile.check_sections image;
   let mem = Memory.create () in
   (* glibc region: slots are never fetched, but the exit stub is real code. *)
   Memory.map mem ~addr:Layout.glibc_base ~len:8192;

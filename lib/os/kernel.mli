@@ -40,7 +40,10 @@ val spawn :
 (** Load an image into a fresh process: map text/data/stack/TLS, install
     a fresh TLS canary, run the preload constructor, point rip at the
     entry symbol. [insn_tax] models dynamic-binary-translation overhead
-    (cycles added to every instruction). *)
+    (cycles added to every instruction). Raises {!Objfile.Format_error}
+    before mapping anything when a section lies outside the image
+    window ({!Objfile.check_sections}), as for an image read from a
+    file. *)
 
 val find : t -> int -> Process.t option
 

@@ -95,9 +95,9 @@ let get_blob c =
 
 (* Every section [Kernel.spawn] maps must lie inside the image window
    of the fixed guest layout, [text_base, heap_base): a corrupt base
-   would otherwise map pages, and grow the page directory, anywhere in
-   the 64-bit address space. An empty section is checked at its base,
-   because spawn still maps a page there (text and data). *)
+   would otherwise map pages somewhere in the 64-bit address space. An
+   empty section is checked at its base, because spawn still maps a
+   page there (text and data). *)
 let check_window what base len =
   let lo = Vm64.Layout.text_base and hi = Vm64.Layout.heap_base in
   if
@@ -107,6 +107,12 @@ let check_window what base len =
   then
     fail "%s section [0x%Lx, +0x%x) outside the image window [0x%Lx, 0x%Lx)"
       what base len lo hi
+
+let check_sections (image : Image.t) =
+  check_window "text" image.Image.text_base (Bytes.length image.Image.text);
+  check_window "data" image.Image.data_base (Bytes.length image.Image.data);
+  if Bytes.length image.Image.extra > 0 then
+    check_window "extra" image.Image.extra_base (Bytes.length image.Image.extra)
 
 let read data =
   let c = { data; pos = 0 } in
@@ -127,13 +133,10 @@ let read data =
   let entry = get_u64 c in
   let text_base = get_u64 c in
   let text = get_blob c in
-  check_window "text" text_base (Bytes.length text);
   let data_base = get_u64 c in
   let data_sec = get_blob c in
-  check_window "data" data_base (Bytes.length data_sec);
   let extra_base = get_u64 c in
   let extra = get_blob c in
-  if Bytes.length extra > 0 then check_window "extra" extra_base (Bytes.length extra);
   let nsyms = get_u32 c in
   if nsyms > 1_000_000 then fail "implausible symbol count %d" nsyms;
   let symbols =
@@ -158,6 +161,7 @@ let read data =
       scheme_tag;
     }
   in
+  check_sections image;
   (* sanity: the entry must fall in a section *)
   if
     Bytes.length image.Image.text > 0

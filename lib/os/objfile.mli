@@ -18,6 +18,13 @@ val read : bytes -> Image.t
     window [\[Layout.text_base, Layout.heap_base)] of the fixed guest
     layout. *)
 
+val check_sections : Image.t -> unit
+(** Raises {!Format_error} when a text, data or (non-empty) extra
+    section [\[base, base+len)] lies outside the image window
+    [\[Layout.text_base, Layout.heap_base)]. {!read} applies it to every
+    file, {!Kernel.spawn} to every image, whether loaded or built in
+    process. *)
+
 val save : Image.t -> string -> unit
 (** Write to a file path. *)
 

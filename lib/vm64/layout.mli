@@ -76,3 +76,9 @@ val global_canary_buffer_base : int64
     with the rest of the address space. *)
 
 val global_canary_buffer_size : int
+
+val guest_top : int64
+(** Top of guest space: nothing at or above it is ever mapped
+    ([Memory.map] raises [Invalid_argument]), which bounds every page
+    directory. 4 GiB, well above every fixed region (the highest, the
+    wasm spill above {!stack_top}, ends at 128 MiB). *)

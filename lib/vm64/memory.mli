@@ -6,13 +6,18 @@
     [Fault.Trap (Segfault _)] — which is precisely the signal the
     byte-by-byte attacker observes as a child crash.
 
-    {!clone} (the [fork] primitive) is O(chunk table), not O(pages or
-    bytes): pages live in fixed 64-page chunks of a flat array, the
-    child aliases the parent's chunk records wholesale, and per-page
-    records are re-materialised lazily, chunk at a time, on the first
-    write in either space. The first write to a page whose payload may
-    be aliased then breaks the sharing with a private copy (see
-    DESIGN.md §5 for the invariants). Reads never copy. *)
+    {!clone} (the [fork] primitive) is O(directory top level), not
+    O(pages or bytes): pages live in fixed 64-page chunks, chunks in
+    16-chunk nodes, and the child copies only the short node array (32
+    entries for the fixed guest layout, small enough for the minor
+    heap). Node slots and page records are re-materialised lazily, node
+    and chunk at a time, on the first write in either space; the first
+    write to a page whose payload may be aliased then breaks the
+    sharing with a private copy (see DESIGN.md §5 for the invariants).
+    Reads never copy.
+
+    Nothing at or above [Layout.guest_top] is ever mapped, which bounds
+    the directory. *)
 
 type t
 
@@ -25,7 +30,10 @@ val map : t -> addr:int64 -> len:int -> unit
     page reads as zeros and counts as resident, but holds one shared,
     never-written zero payload until its first write materialises a
     private zeroed page ([zero_fills]). No page payload is allocated
-    here. Already mapped pages are left untouched. *)
+    here. Already mapped pages are left untouched. Raises
+    [Invalid_argument], before allocating anything, when [len <= 0] or
+    when any page of the range is at or above [Layout.guest_top]
+    (including a range whose end wraps past 2{^64}). *)
 
 val is_mapped : t -> int64 -> bool
 
@@ -65,11 +73,12 @@ val payload_shared : t -> int64 -> bool
     payloads describes bytes every current relative agrees on. *)
 
 val clone : t -> t
-(** The [fork] primitive's address-space clone. Copy-on-write at two
-    levels: the child aliases the parent's chunk records (O(chunks)
-    work), and page payloads stay shared until first write in either
-    space. Observable behaviour is identical to a deep copy — writes in
-    either space never become visible in the other. *)
+(** The [fork] primitive's address-space clone. Copies one short array
+    (the directory's node array); the child aliases the parent's node
+    slots, page records and page payloads, each of which either space
+    copies lazily on its first write there. Observable behaviour is
+    identical to a deep copy — writes in either space never become
+    visible in the other. *)
 
 val mapped_bytes : t -> int
 (** Total bytes of mapped address space (resident + shared), for the

@@ -615,6 +615,29 @@ let test_objfile_rejects_out_of_window () =
   rejects "extra far away"
     { patched with Os.Image.extra_base = 0x1900_0050_0000L }
 
+let test_spawn_rejects_out_of_window () =
+  (* an image built in process gets the same window check at spawn as
+     a file gets at load: a typed error before anything is mapped *)
+  let image = compile (Workload.Vuln.fork_server ~buffer_size:16) in
+  let k = Os.Kernel.create () in
+  let rejects what (bad : Os.Image.t) =
+    let before = Gc.allocated_bytes () in
+    (match Os.Kernel.spawn k bad with
+    | exception Os.Objfile.Format_error _ -> ()
+    | _ -> Alcotest.failf "%s: out-of-window image spawned" what);
+    let allocated = Gc.allocated_bytes () -. before in
+    if allocated > 1e6 then
+      Alcotest.failf "%s: rejecting allocated %.0f bytes" what allocated
+  in
+  (* one flipped byte turns data_base 0x60_0000 into 0x1900_0060_0000 *)
+  rejects "data far away" { image with Os.Image.data_base = 0x1900_0060_0000L };
+  rejects "text far away"
+    { image with Os.Image.text_base = 0x1900_0040_0000L; entry = 0x1900_0040_0000L };
+  rejects "extra at the top of the 64-bit space"
+    { image with Os.Image.extra_base = 0xFFFF_FFFF_FFFF_F000L; extra = Bytes.make 8192 'x' };
+  Alcotest.(check bool) "the unpatched image still boots" true
+    (kernel_run k (Os.Kernel.spawn k image) = Os.Kernel.Stop_accept)
+
 let test_spawn_allocation () =
   (* mapping is demand-zero: booting a process allocates page records,
      not the ~1.6 MB of zeroed stack, heap, TLS and buffer pages *)
@@ -713,5 +736,7 @@ let () =
           Alcotest.test_case "rejects out-of-window sections" `Quick
             test_objfile_rejects_out_of_window;
           Alcotest.test_case "save/load" `Quick test_objfile_save_load;
+          Alcotest.test_case "spawn rejects out-of-window sections" `Quick
+            test_spawn_rejects_out_of_window;
         ] );
     ]

@@ -289,6 +289,318 @@ let prop_mem_roundtrip =
       Memory.write_u64 m (Int64.of_int off) v;
       Memory.read_u64 m (Int64.of_int off) = v)
 
+(* ---- page directory ---------------------------------------------------------- *)
+
+let test_map_bounded () =
+  (* nothing at or above the top of guest space is mapped, and a bad
+     range is refused before anything is allocated *)
+  let rejects what addr len =
+    let m = Memory.create () in
+    let before = Gc.allocated_bytes () in
+    (match Memory.map m ~addr ~len with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: mapped" what);
+    let allocated = Gc.allocated_bytes () -. before in
+    if allocated > 1e6 then Alcotest.failf "%s: rejecting allocated %.0f bytes" what allocated;
+    Alcotest.(check int) (what ^ ": nothing mapped") 0 (Memory.mapped_bytes m)
+  in
+  (* one flipped byte turns data_base 0x60_0000 into 0x1900_0060_0000 *)
+  rejects "flipped data base" 0x1900_0060_0000L 4096;
+  rejects "end wraps past 2^64" 0xFFFF_FFFF_FFFF_F000L 8192;
+  rejects "top of the 47-bit space" 0x7FFF_FFFF_F000L 4096;
+  rejects "at the cap" Layout.guest_top 1;
+  rejects "last byte at the cap" (Int64.sub Layout.guest_top 4096L) 4097;
+  rejects "negative address" Int64.min_int 4096;
+  let m = Memory.create () in
+  let last = Int64.sub Layout.guest_top 8L in
+  Memory.map m ~addr:last ~len:8;
+  Memory.write_u64 m last 0x0123456789ABCDEFL;
+  Alcotest.check i64 "the last page below the cap works" 0x0123456789ABCDEFL
+    (Memory.read_u64 m last);
+  (match Memory.read_u8 m Layout.guest_top with
+  | exception Fault.Trap (Fault.Segfault a) when a = Layout.guest_top -> ()
+  | _ -> Alcotest.fail "the cap itself must fault")
+
+(* Words allocated straight into the major heap (blocks too large for
+   the minor heap). A full major cycle first, because the runtime folds
+   direct major allocations into [major_words] only at a major slice,
+   and minor-heap promotions into [promoted_words] only at a minor one. *)
+let direct_major_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+let test_clone_allocation () =
+  (* a fork copies the directory's top level, which for the fixed guest
+     layout fits the minor heap: cloning a booted fork server allocates
+     nothing directly in the major heap, and a clone plus one stack
+     write allocates at most the one page payload the write copies *)
+  let image =
+    Mcc.Driver.compile ~scheme:Pssp.Scheme.Ssp
+      (Minic.Parser.parse (Workload.Vuln.fork_server ~buffer_size:16))
+  in
+  let k = Os.Kernel.create () in
+  let p = Os.Kernel.spawn k image in
+  Os.Kernel.enqueue k p;
+  Os.Kernel.schedule k;
+  Alcotest.(check bool) "the server boots to accept" true
+    (Os.Kernel.stop_of p = Os.Kernel.Stop_accept);
+  let mem = p.Os.Process.mem in
+  let clones = 1000 in
+  let page_words = Obj.reachable_words (Obj.repr (Bytes.create Memory.page_size)) in
+  let before = direct_major_words () in
+  for _ = 1 to clones do
+    ignore (Sys.opaque_identity (Memory.clone mem))
+  done;
+  let grew = direct_major_words () -. before in
+  if grew > 0. then
+    Alcotest.failf "%d clones allocated %.0f direct major words (%.1f per clone)" clones
+      grew (grew /. float clones);
+  let sp = Int64.sub Layout.stack_top 128L in
+  let before = direct_major_words () in
+  for i = 1 to clones do
+    Memory.write_u64 (Memory.clone mem) sp (Int64.of_int i)
+  done;
+  let grew = direct_major_words () -. before in
+  if grew > float (clones * page_words) then
+    Alcotest.failf "%d clone+write rounds allocated %.0f direct major words (%.1f per round)"
+      clones grew (grew /. float clones)
+
+(* Model-based test of the directory: random map / clone / write / read
+   / payload_shared sequences over a family of up to six spaces, against
+   a naive model with one [Hashtbl] from page index to bytes per space. *)
+
+(* Pages on both sides of chunk (64-page) and node (1024-page)
+   boundaries, chunk 511 (the wasm spill, the last of the initial
+   directory), the first node past it, and the last pages below the
+   cap. *)
+let dir_pages =
+  [|
+    0x0L; 0x3_F000L; 0x4_0000L; 0x3F_F000L; 0x40_0000L; 0x07FB_F000L; 0x07FC_0000L;
+    0x07FF_F000L; 0x0800_0000L; 0xFFFF_E000L; 0xFFFF_F000L;
+  |]
+
+(* Pages that are never mapped: the cap, a flipped-byte data base, and
+   the last page of the 64-bit space (whose next page wraps to 0). *)
+let far_pages = [| 0x1_0000_0000L; 0x1900_0060_0000L; 0xFFFF_FFFF_FFFF_F000L |]
+
+type dir_op =
+  | Map of int * int64 * int
+  | Clone of int
+  | Write_u64 of int * int64 * int64
+  | Write_bytes of int * int64 * int * int  (* space, addr, length, fill seed *)
+  | Read_u64 of int * int64
+  | Shared of int * int64
+
+let print_dir_op = function
+  | Map (s, a, l) -> Printf.sprintf "map %d 0x%Lx +%d" s a l
+  | Clone s -> Printf.sprintf "clone %d" s
+  | Write_u64 (s, a, v) -> Printf.sprintf "write_u64 %d 0x%Lx 0x%Lx" s a v
+  | Write_bytes (s, a, l, seed) -> Printf.sprintf "write_bytes %d 0x%Lx +%d (%d)" s a l seed
+  | Read_u64 (s, a) -> Printf.sprintf "read_u64 %d 0x%Lx" s a
+  | Shared (s, a) -> Printf.sprintf "payload_shared %d 0x%Lx" s a
+
+let gen_dir_ops =
+  let open QCheck.Gen in
+  let space = int_bound 5 in
+  let page = frequency [ (6, oneofa dir_pages); (1, oneofa far_pages) ] in
+  let addr =
+    map2 (fun p o -> Int64.add p (Int64.of_int o)) page
+      (oneofl [ 0; 8; 1000; 4088; 4092; 4095 ])
+  in
+  let op =
+    frequency
+      [
+        ( 3,
+          map3 (fun s a l -> Map (s, a, l)) space addr
+            (oneof [ int_range 1 (3 * 4096); return 8192 ]) );
+        (1, map (fun s -> Clone s) space);
+        (3, map3 (fun s a v -> Write_u64 (s, a, v)) space addr ui64);
+        ( 2,
+          map3 (fun s a (l, seed) -> Write_bytes (s, a, l, seed)) space addr
+            (pair (int_range 1 5000) (int_bound 255)) );
+        (3, map2 (fun s a -> Read_u64 (s, a)) space addr);
+        (2, map2 (fun s a -> Shared (s, a)) space addr);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+type model_page = { bytes : Bytes.t; mutable priv : bool; mutable zero : bool }
+
+let prop_directory_model =
+  QCheck.Test.make ~name:"directory matches a naive model" ~count:200
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print_dir_op ops)) gen_dir_ops)
+    (fun ops ->
+      let root = Memory.create () in
+      let spaces = ref [| (root, Hashtbl.create 16) |] in
+      let clones = ref 0 and aliased = ref 0 and cow = ref 0 and fills = ref 0 in
+      let space i = !spaces.(i mod Array.length !spaces) in
+      let page_index a = Int64.to_int (Int64.shift_right_logical a 12) in
+      let off a = Int64.to_int (Int64.logand a 0xFFFL) in
+      let fault = function
+        | Fault.Trap (Fault.Segfault a) -> Error a
+        | e -> raise e
+      in
+      let real f = try Ok (f ()) with e -> fault e in
+      (* the model writes and reads a byte at a time *)
+      let write_byte tbl a c =
+        match Hashtbl.find_opt tbl (page_index a) with
+        | None -> raise (Fault.Trap (Fault.Segfault a))
+        | Some p ->
+          if not p.priv then begin
+            incr cow;
+            p.priv <- true;
+            p.zero <- false
+          end
+          else if p.zero then begin
+            incr fills;
+            p.zero <- false
+          end;
+          Bytes.set p.bytes (off a) c
+      in
+      let read_byte tbl a =
+        match Hashtbl.find_opt tbl (page_index a) with
+        | None -> raise (Fault.Trap (Fault.Segfault a))
+        | Some p -> Char.code (Bytes.get p.bytes (off a))
+      in
+      let model_write tbl a src =
+        real (fun () ->
+            Bytes.iteri (fun i c -> write_byte tbl (Int64.add a (Int64.of_int i)) c) src)
+      in
+      let check_pages (m, tbl) a len =
+        (* every mapped page a write touched holds the model's bytes *)
+        let first = page_index a and last = page_index (Int64.add a (Int64.of_int (len - 1))) in
+        List.iter
+          (fun pg ->
+            match Hashtbl.find_opt tbl pg with
+            | None -> ()
+            | Some p ->
+              let base = Int64.shift_left (Int64.of_int pg) 12 in
+              if not (Bytes.equal (Memory.read_bytes m base 4096) p.bytes) then
+                QCheck.Test.fail_reportf "page 0x%Lx differs from the model" base)
+          (* a range at the top of the 64-bit space wraps to page 0 *)
+          (if last >= first then List.init (last - first + 1) (fun i -> first + i)
+           else [ first; last ])
+      in
+      let expect what real model =
+        if real <> model then
+          let show = function Ok v -> Printf.sprintf "0x%Lx" v | Error a -> Printf.sprintf "fault 0x%Lx" a in
+          QCheck.Test.fail_reportf "%s: memory %s, model %s" what (show real) (show model)
+      in
+      let step op =
+        match op with
+        | Map (s, addr, len) ->
+          let m, tbl = space s in
+          let last = Int64.add addr (Int64.of_int (len - 1)) in
+          let ok =
+            Int64.unsigned_compare last addr >= 0
+            && Int64.unsigned_compare last Layout.guest_top < 0
+          in
+          (match Memory.map m ~addr ~len with
+          | () -> if not ok then QCheck.Test.fail_reportf "map past the cap accepted"
+          | exception Invalid_argument _ ->
+            if ok then QCheck.Test.fail_reportf "map inside the cap refused");
+          if ok then
+            for pg = page_index addr to page_index last do
+              if not (Hashtbl.mem tbl pg) then
+                Hashtbl.replace tbl pg
+                  { bytes = Bytes.make 4096 '\000'; priv = true; zero = true }
+            done
+        | Clone s ->
+          let m, tbl = space s in
+          let child = Memory.clone m in
+          incr clones;
+          aliased := !aliased + Hashtbl.length tbl;
+          let ctbl = Hashtbl.create 16 in
+          Hashtbl.iter
+            (fun pg p ->
+              p.priv <- false;
+              Hashtbl.replace ctbl pg { bytes = Bytes.copy p.bytes; priv = false; zero = false })
+            tbl;
+          if Array.length !spaces < 6 then spaces := Array.append !spaces [| (child, ctbl) |]
+        | Write_u64 (s, a, v) ->
+          let ((m, tbl) as sp) = space s in
+          let src = Bytes.create 8 in
+          Bytes.set_int64_le src 0 v;
+          let r = real (fun () -> Memory.write_u64 m a v) in
+          let r' = model_write tbl a src in
+          expect "write_u64" (Result.map (fun () -> 0L) r) (Result.map (fun () -> 0L) r');
+          check_pages sp a 8
+        | Write_bytes (s, a, len, seed) ->
+          let ((m, tbl) as sp) = space s in
+          let src = Bytes.init len (fun i -> Char.chr ((seed + (i * 7)) land 0xFF)) in
+          let r = real (fun () -> Memory.write_bytes m a src) in
+          let r' = model_write tbl a src in
+          expect "write_bytes" (Result.map (fun () -> 0L) r) (Result.map (fun () -> 0L) r');
+          check_pages sp a len
+        | Read_u64 (s, a) ->
+          let m, tbl = space s in
+          let model () =
+            (* in-page reads fault at the address; a spanning read is a
+               byte loop from the high byte down *)
+            if off a + 8 <= 4096 then ignore (read_byte tbl a);
+            let v = ref 0L in
+            for i = 7 downto 0 do
+              let b = read_byte tbl (Int64.add a (Int64.of_int i)) in
+              v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+            done;
+            !v
+          in
+          expect "read_u64" (real (fun () -> Memory.read_u64 m a)) (real model)
+        | Shared (s, a) ->
+          let m, tbl = space s in
+          let model =
+            match Hashtbl.find_opt tbl (page_index a) with
+            | Some p -> not p.priv
+            | None -> false
+          in
+          if Memory.payload_shared m a <> model then
+            QCheck.Test.fail_reportf "payload_shared 0x%Lx: memory %b, model %b" a
+              (Memory.payload_shared m a) model
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let st = Memory.family_stats root in
+          if
+            st.Memory.clones <> !clones
+            || st.Memory.pages_aliased <> !aliased
+            || st.Memory.cow_breaks <> !cow
+            || st.Memory.zero_fills <> !fills
+          then
+            QCheck.Test.fail_reportf
+              "after %s: clones %d/%d aliased %d/%d cow_breaks %d/%d zero_fills %d/%d"
+              (print_dir_op op) st.Memory.clones !clones st.Memory.pages_aliased !aliased
+              st.Memory.cow_breaks !cow st.Memory.zero_fills !fills)
+        ops;
+      Array.iteri
+        (fun i (m, tbl) ->
+          let mapped = Hashtbl.length tbl * 4096 in
+          let resident =
+            Hashtbl.fold (fun _ p acc -> if p.priv then acc + 4096 else acc) tbl 0
+          in
+          if
+            Memory.mapped_bytes m <> mapped
+            || Memory.resident_bytes m <> resident
+            || Memory.resident_bytes m + Memory.shared_bytes m <> Memory.mapped_bytes m
+          then
+            QCheck.Test.fail_reportf "space %d: mapped %d/%d resident %d/%d shared %d" i
+              (Memory.mapped_bytes m) mapped (Memory.resident_bytes m) resident
+              (Memory.shared_bytes m);
+          Array.iter
+            (fun pg ->
+              if Memory.is_mapped m pg <> Hashtbl.mem tbl (page_index pg) then
+                QCheck.Test.fail_reportf "space %d: is_mapped 0x%Lx disagrees" i pg)
+            (Array.append dir_pages far_pages);
+          Hashtbl.iter
+            (fun pg p ->
+              let base = Int64.shift_left (Int64.of_int pg) 12 in
+              if not (Bytes.equal (Memory.read_bytes m base 4096) p.bytes) then
+                QCheck.Test.fail_reportf "space %d: page 0x%Lx differs from the model" i base)
+            tbl)
+        !spaces;
+      true)
+
 (* ---- execution harness ----------------------------------------------------- *)
 
 let env = Exec.create_env ~is_builtin:(fun a -> if a = 0x100L then Some "fake" else None) ()
@@ -926,6 +1238,13 @@ let () =
             `Quick (test_demand_zero_redecode 0);
           Alcotest.test_case "re-decode after first write (compiled)" `Quick
             (test_demand_zero_redecode 3);
+        ] );
+      ( "directory",
+        [
+          Alcotest.test_case "map is bounded by the guest top" `Quick test_map_bounded;
+          Alcotest.test_case "clone allocates nothing in the major heap" `Quick
+            test_clone_allocation;
+          qc prop_directory_model;
         ] );
       ( "alu",
         [
